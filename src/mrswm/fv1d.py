@@ -81,13 +81,14 @@ class Solution1D:
 
 
 def minmod3(z1, z2, z3):
-    """Generalized minmod: least-magnitude value if all signs agree, else 0."""
-    z1, z2, z3 = np.asarray(z1), np.asarray(z2), np.asarray(z3)
-    pos = (z1 > 0) & (z2 > 0) & (z3 > 0)
-    neg = (z1 < 0) & (z2 < 0) & (z3 < 0)
-    out = np.where(pos, np.minimum(np.minimum(z1, z2), z3),
-                   np.where(neg, np.maximum(np.maximum(z1, z2), z3), 0.0))
-    return out[()]
+    """Generalized minmod: least-magnitude value if all signs agree, else 0.
+
+    All three are positive exactly when their minimum is, and all negative
+    exactly when their maximum is.
+    """
+    lo = np.minimum(np.minimum(z1, z2), z3)
+    hi = np.maximum(np.maximum(z1, z2), z3)
+    return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))[()]
 
 
 def fill_ghosts(cells: np.ndarray, boundary: str) -> np.ndarray:
@@ -157,31 +158,59 @@ def cu_flux_from_values(G_l, G_r, U_left, U_right, s_minus, s_plus) -> np.ndarra
 def _cell_weights(h_bar, h_slope, chi_bar, chi_slope, dx) -> np.ndarray:
     """W_k = int_cell (chi~_k / h~) dy for linear reconstructions.
 
-    Shapes: h_bar, h_slope (...,); chi_bar, chi_slope (..., n).
+    Shapes: h_bar, h_slope (...,); chi_bar, chi_slope (..., n).  The
+    logarithmic branch is evaluated only in cells whose depth is not flat.
     """
     dh = h_slope * dx                       # h^N - h^S
-    h_n = h_bar + 0.5 * dh
-    h_s = h_bar - 0.5 * dh
-    flat = np.abs(dh) <= FLAT_H_TOL * np.abs(h_bar)
-    safe_slope = np.where(flat, 1.0, h_slope)[..., None]
-    log_ratio = np.log1p(np.where(flat, 0.0, dh) / h_s)[..., None]
-    w_log = ((chi_bar - chi_slope * (h_bar / np.where(flat, 1.0, h_slope))[..., None])
-             * log_ratio + chi_slope * dx) / safe_slope
-    w_flat = chi_bar / h_bar[..., None] * dx
-    return np.where(flat[..., None], w_flat, w_log)
+    sloped = ~(np.abs(dh) <= FLAT_H_TOL * np.abs(h_bar))
+    W = chi_bar / h_bar[..., None] * dx
+    if not sloped.any():
+        return W
+    m = _full_mask(sloped, W.shape[-1])
+    log_ratio = np.divide(dh, h_bar - 0.5 * dh, out=None, where=sloped)
+    np.log1p(log_ratio, out=log_ratio, where=sloped)
+    ratio = np.divide(h_bar, h_slope, out=None, where=sloped)
+    w = np.multiply(chi_slope, ratio[..., None], out=None, where=m)
+    np.subtract(chi_bar, w, out=w, where=m)
+    np.multiply(w, log_ratio[..., None], out=w, where=m)
+    np.multiply(chi_slope, dx, out=W, where=m)
+    np.add(w, W, out=w, where=m)
+    np.divide(w, h_slope[..., None], out=W, where=m)
+    return W
 
 
 def _interface_weights(h_l, h_r, chi_l, chi_r) -> np.ndarray:
-    """W_k = int_0^1 chi_k(path) / h(path) ds along the linear path."""
+    """W_k = int_0^1 chi_k(path) / h(path) ds along the linear path.
+
+    The logarithmic branch is evaluated only across depth jumps.
+    """
     dh = h_r - h_l
-    flat = np.abs(dh) <= FLAT_H_TOL * np.abs(h_l)
-    safe_dh = np.where(flat, 1.0, dh)
-    dchi = chi_r - chi_l
-    log_ratio = np.log1p(np.where(flat, 0.0, dh) / h_l)[..., None]
-    w_log = ((chi_l * safe_dh[..., None] - h_l[..., None] * dchi)
-             / safe_dh[..., None] * log_ratio + dchi) / safe_dh[..., None]
-    w_flat = 0.5 * (chi_l + chi_r) / h_l[..., None]
-    return np.where(flat[..., None], w_flat, w_log)
+    sloped = ~(np.abs(dh) <= FLAT_H_TOL * np.abs(h_l))
+    W = 0.5 * (chi_l + chi_r) / h_l[..., None]
+    if not sloped.any():
+        return W
+    m = _full_mask(sloped, W.shape[-1])
+    dhn = dh[..., None]
+    log_ratio = np.divide(dh, h_l, out=None, where=sloped)
+    np.log1p(log_ratio, out=log_ratio, where=sloped)
+    dchi = np.subtract(chi_r, chi_l, out=None, where=m)
+    w = np.multiply(chi_l, dhn, out=None, where=m)
+    np.multiply(h_l[..., None], dchi, out=W, where=m)
+    np.subtract(w, W, out=w, where=m)
+    np.divide(w, dhn, out=w, where=m)
+    np.multiply(w, log_ratio[..., None], out=w, where=m)
+    np.add(w, dchi, out=w, where=m)
+    np.divide(w, dhn, out=W, where=m)
+    return W
+
+
+def _full_mask(mask: np.ndarray, n: int) -> np.ndarray:
+    """``mask`` repeated over a trailing axis of length n.
+
+    A mask broadcast along the component axis makes each masked ufunc
+    loop run over n elements at a time; a full copy keeps the runs long.
+    """
+    return np.repeat(mask[..., None], n, axis=-1)
 
 
 def _contract_path(W: np.ndarray, grad: np.ndarray,
@@ -227,9 +256,12 @@ def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
 
     U_l = rec.north[:-1]        # left of interface i (n+1, nvar)
     U_r = rec.south[1:]         # right of interface i
-    s_minus, s_plus, im_ratio = model1d.interface_speeds(U_l, U_r, params)
+    both = np.concatenate([U_l, U_r])
+    quad = model1d.quadratic_flux(both, params)   # shared by J and G
+    s_minus, s_plus, im_ratio = model1d.interface_speeds(U_l, U_r, params,
+                                                         quad=quad)
 
-    G_both = model1d.flux_g(np.concatenate([U_l, U_r]), params)
+    G_both = model1d.flux_g(both, params, quad)
     n_if = U_l.shape[0]
     F = cu_flux_from_values(G_both[:n_if], G_both[n_if:], U_l, U_r,
                             s_minus, s_plus)

@@ -104,14 +104,16 @@ def check_valid(U: np.ndarray, h_min: float = DEFAULT_H_MIN) -> None:
             f"is at or below the floor {h_min:.1e}")
 
 
-def flux_g(U: np.ndarray, params: ModelParams) -> np.ndarray:
+def flux_g(U: np.ndarray, params: ModelParams,
+           quad: np.ndarray | None = None) -> np.ndarray:
     """Conservative flux G(U) = (U^T C U) / h + (g/2) h^2 e_hv.
 
-    Accepts batched states (..., 5+4M); C is ``flux_tensor``.
+    Accepts batched states (..., 5+4M); C is ``flux_tensor``.  ``quad`` is
+    ``quadratic_flux(U)`` when the caller already has it.
     """
     U = _checked(U, params)
     h = U[..., H]
-    G = _quadratic_flux(U, params)
+    G = quadratic_flux(U, params) if quad is None else quad.copy()
     G[..., HV] += 0.5 * params.g * h * h
     return G
 
@@ -123,8 +125,9 @@ def _checked(U: np.ndarray, params: ModelParams) -> np.ndarray:
     return U
 
 
-def _quadratic_flux(U: np.ndarray, params: ModelParams) -> np.ndarray:
+def quadratic_flux(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """(U^T C U) / h, the flux without the hydrostatic pressure."""
+    U = _checked(U, params)
     n = U.shape[-1]
     UU = (U[..., :, None] * U[..., None, :]).reshape(U.shape[:-1] + (n * n,))
     return UU @ params.flux_matrix / U[..., H, None]
@@ -275,17 +278,21 @@ def noncons_q(U: np.ndarray, tensors: ClosureTensors,
     return np.einsum("rck,...k->...rc", T, U) / U[..., H][..., None, None]
 
 
-def jacobian(U: np.ndarray, params: ModelParams) -> np.ndarray:
+def jacobian(U: np.ndarray, params: ModelParams,
+             quad: np.ndarray | None = None) -> np.ndarray:
     """J(U) = dG/dU - Q(U), batched along leading axes.
 
     Analytic from the flux tensor: with G = (U^T C U)/h + (g/2)h^2 e_hv and
     C symmetric, dG/dU = (2 C U)/h - G_quad e_h^T / h + g h e_hv e_h^T.
+    ``quad`` is G_quad = ``quadratic_flux(U)`` when the caller has it.
     """
     U = _checked(U, params)
     n = U.shape[-1]
     h = U[..., H]
+    if quad is None:
+        quad = quadratic_flux(U, params)
     J = (U @ params.jac_matrix).reshape(U.shape[:-1] + (n, n)) / h[..., None, None]
-    J[..., :, H] -= _quadratic_flux(U, params) / h[..., None]
+    J[..., :, H] -= quad / h[..., None]
     J[..., HV, H] += params.g * h
     return J
 
@@ -304,14 +311,16 @@ def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
 
 
-def eigenvalues(U: np.ndarray, params: ModelParams) -> np.ndarray:
+def eigenvalues(U: np.ndarray, params: ModelParams,
+                quad: np.ndarray | None = None) -> np.ndarray:
     """Complex spectrum of J(U), batched along leading axes.
 
     The union of the spectra of the diagonal blocks (``spectral_blocks``):
     the scalar hb_m entry, the gravity block, and the Elsasser blocks
-    J_uu + J_ua and J_uu - J_ua of the transverse block.
+    J_uu + J_ua and J_uu - J_ua of the transverse block.  ``quad`` is
+    passed on to ``jacobian``.
     """
-    J = jacobian(U, params)
+    J = jacobian(U, params, quad)
     grav, vel, mag = spectral_blocks(params.order)
     J_uu = J[..., vel[:, None], vel]
     J_ua = J[..., vel[:, None], mag]
@@ -343,17 +352,19 @@ def _real_spectrum(lam: np.ndarray, tol_im: float,
 
 
 def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
-                     params: ModelParams,
-                     tol_im: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+                     params: ModelParams, tol_im: float | None = None,
+                     quad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """One-sided speed bounds s-, s+ for a batch of interfaces.
 
     s+ = max(spectrum(left), spectrum(right), 0) and s- the analogous
     minimum; eigenvalues with small imaginary parts are projected onto the
     real axis, and the worst contamination ratio is returned for logging.
+    ``quad`` is the quadratic flux of the left states followed by the
+    right ones, when the caller has it.
     """
     tol = params.tol_im if tol_im is None else tol_im
     stacked = np.concatenate([np.atleast_2d(U_left), np.atleast_2d(U_right)])
-    lam, ratio = _real_spectrum(eigenvalues(stacked, params), tol,
+    lam, ratio = _real_spectrum(eigenvalues(stacked, params, quad), tol,
                                 "interface states")
     half = stacked.shape[0] // 2
     both = np.concatenate([lam[:half], lam[half:]], axis=-1)

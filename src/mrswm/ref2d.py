@@ -106,7 +106,7 @@ def flux_y(U: np.ndarray, g: float, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
     h = U[..., 0]
     if np.any(h <= h_min):
         raise DryStateError("depth at or below floor in flux evaluation")
-    u, v, a, b = (U[..., k] / h for k in (1, 2, 3, 4))
+    u, v, b = (U[..., k] / h for k in (1, 2, 4))
     G = np.zeros_like(U)
     G[..., 0] = U[..., 2]
     G[..., 1] = U[..., 1] * v - U[..., 3] * b
@@ -136,13 +136,18 @@ def _extend_y(arr: np.ndarray, boundary: str, n_ghost: int = 2) -> np.ndarray:
 
 
 def _minmod_slope(ext: np.ndarray, dx: float, theta: float, axis: int) -> np.ndarray:
-    """Limited slope on the interior of an array with one ghost per side."""
+    """Limited slope on the interior of an array with one ghost per side.
+
+    The backward difference of a cell is the forward difference of the
+    one before it, so each difference is formed once.
+    """
     ext = np.moveaxis(ext, axis, 0)
-    mid = ext[1:-1]
-    fwd = (ext[2:] - mid) / dx
-    bwd = (mid - ext[:-2]) / dx
-    slope = minmod3(theta * fwd, 0.5 * (fwd + bwd), theta * bwd)
-    return np.moveaxis(slope, 0, axis)
+    diff = np.subtract(ext[1:], ext[:-1])
+    diff /= dx
+    central = diff[1:] + diff[:-1]
+    central *= 0.5
+    diff *= theta
+    return np.moveaxis(minmod3(diff[1:], central, diff[:-1]), 0, axis)
 
 
 def sigma_factor(minmod_slope_hb: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -195,13 +200,28 @@ def coupling_c(sigma_b: np.ndarray, dzeta: float) -> tuple[np.ndarray, np.ndarra
     return faces, centers
 
 
-def _cu_combine(F_l, F_r, U_l, U_r, sm, sp):
+def _cu_combine(F_l, F_r, U_l, U_r, sm, sp, out=None):
+    """Central-upwind flux from face fluxes and one-sided speeds.
+
+    Evaluates (sp F_l - sm F_r) / (sp - sm) + sp sm / (sp - sm) (U_r - U_l),
+    and 0 where sp = sm, into ``out`` (a new array if None).  ``F_r`` is
+    overwritten.
+    """
     width = sp - sm
-    safe = np.where(width > 0.0, width, 1.0)[..., None]
+    moving = width > 0.0
+    safe = np.where(moving, width, 1.0)[..., None]
     smn = sm[..., None]
     spn = sp[..., None]
-    out = (spn * F_l - smn * F_r) / safe + (spn * smn / safe) * (U_r - U_l)
-    return np.where(width[..., None] > 0.0, out, 0.0)
+    out = np.multiply(spn, F_l, out=out)
+    np.multiply(smn, F_r, out=F_r)
+    out -= F_r
+    out /= safe
+    np.subtract(U_r, U_l, out=F_r)
+    F_r *= spn * smn / safe
+    out += F_r
+    if not moving.all():
+        out[~moving] = 0.0
+    return out
 
 
 @dataclass
@@ -221,6 +241,48 @@ def _clip_h_slope(mid_h, slope_h, half_dx, h_min):
     return slope_h
 
 
+@dataclass
+class Reconstruction2D:
+    """Limited reconstruction on the n_y + 2 rows with one ghost row per side.
+
+    The hb component of ``slope_y`` is the divergence slope sigma * B; the
+    depth slopes are clipped to keep every face depth above the floor.
+    """
+
+    u_bar: np.ndarray      # (n_y+2, n_zeta, 5) cell averages
+    b_bar: np.ndarray      # (n_y+2, n_zeta) divergence field B
+    slope_y: np.ndarray    # (n_y+2, n_zeta, 5)
+    slope_z: np.ndarray    # (n_y+2, n_zeta, 5)
+    north: np.ndarray      # (n_y+2, n_zeta, 5) face values at y + dy/2
+    south: np.ndarray      # ... at y - dy/2
+    up: np.ndarray         # ... at zeta + dzeta/2
+    down: np.ndarray       # ... at zeta - dzeta/2
+
+
+def reconstruct2d(solution: Solution2D, params: RefParams,
+                  theta: float) -> Reconstruction2D:
+    """Limited piecewise-linear face values in both directions."""
+    grid = solution.grid
+    dy, dz = grid.dy, grid.dzeta
+    ext = _extend_y(solution.U, grid.boundary_y)          # (n_y+4, n_z, 5)
+    mid = ext[1:-1]
+    B_mid = _extend_y(solution.B, grid.boundary_y, 1)
+
+    sy = _minmod_slope(ext, dy, theta, axis=0)
+    sy[..., 4] = sigma_factor(sy[..., 4], B_mid) * B_mid
+    sy[..., 0] = _clip_h_slope(mid[..., 0], sy[..., 0], 0.5 * dy, params.h_min)
+
+    ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
+    sz = _minmod_slope(ext_z, dz, theta, axis=1)
+    sz[..., 0] = _clip_h_slope(mid[..., 0], sz[..., 0], 0.5 * dz, params.h_min)
+
+    half = 0.5 * dy * sy
+    north, south = mid + half, mid - half
+    np.multiply(0.5 * dz, sz, out=half)
+    return Reconstruction2D(u_bar=mid, b_bar=B_mid, slope_y=sy, slope_z=sz,
+                            north=north, south=south, up=mid + half, down=mid - half)
+
+
 def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     """Semi-discrete time derivative of (U, B)."""
     grid = solution.grid
@@ -228,27 +290,12 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     n_y, n_z = grid.n_y, grid.n_zeta
     g = params.g
 
-    ext = _extend_y(solution.U, grid.boundary_y)          # (n_y+4, n_z, 5)
-    mid = ext[1:-1]                                       # one ghost per side
-    B_mid = _extend_y(solution.B, grid.boundary_y, 1)     # (n_y+2, n_z)
-
-    sy = _minmod_slope(ext, dy, theta, axis=0)            # (n_y+2, n_z, 5)
-    sigma = sigma_factor(sy[..., 4], B_mid)
-    sy = sy.copy()
-    sy[..., 4] = sigma * B_mid
-    sy[..., 0] = _clip_h_slope(mid[..., 0], sy[..., 0], 0.5 * dy, params.h_min)
-
-    ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
-    sz = _minmod_slope(ext_z, dz, theta, axis=1)          # (n_y+2, n_z, 5)
-    sz[..., 0] = _clip_h_slope(mid[..., 0], sz[..., 0], 0.5 * dz, params.h_min)
-
-    U_n = mid + 0.5 * dy * sy
-    U_s = mid - 0.5 * dy * sy
-    U_u = mid + 0.5 * dz * sz
-    U_d = mid - 0.5 * dz * sz
+    rec = reconstruct2d(solution, params, theta)
+    mid, B_mid, sy = rec.u_bar, rec.b_bar, rec.slope_y
+    real = slice(1, -1)
 
     # --- horizontal central-upwind fluxes ---------------------------------
-    L, R = U_n[:-1], U_s[1:]                              # (n_y+1, n_z, 5)
+    L, R = rec.north[:-1], rec.south[1:]                  # (n_y+1, n_z, 5)
     for face in (L, R):
         if np.any(face[..., 0] <= params.h_min):
             raise DryStateError("face depth at or below floor")
@@ -267,41 +314,37 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                      L, R, sm_y, sp_y)
 
     # --- vertical transport operators -------------------------------------
-    real = slice(1, -1)
-    h_up = U_u[real, :, 0]
-    h_down = U_d[real, :, 0]
+    h_up = rec.up[real, :, 0]
+    h_down = rec.down[real, :, 0]
     omega = coupling_omega(h_up, h_down, Gf[..., 0], dy, dz)   # (n_y, n_z+1)
+    hc_face_all, hc_cen_all = coupling_c(sy[..., 4], dz)       # incl. ghost rows
+    hc_face = hc_face_all[real]
     sigma_b = sy[real, :, 4]                                   # sigma * B
-    hc_face, hc_cen = coupling_c(sigma_b, dz)
 
     # --- vertical central-upwind fluxes -----------------------------------
     om_int = omega[:, 1:-1]                                # (n_y, n_z-1)
     c_up = hc_face[:, 1:-1] / h_up[:, :-1]
     c_dn = hc_face[:, 1:-1] / h_down[:, 1:]
-    up = U_u[real, :-1]
-    dn = U_d[real, 1:]
+    up = rec.up[real, :-1]
+    dn = rec.down[real, 1:]
     sp_z = np.maximum(np.maximum(om_int + np.abs(c_up), om_int + np.abs(c_dn)), 0.0)
     sm_z = np.minimum(np.minimum(om_int - np.abs(c_up), om_int - np.abs(c_dn)), 0.0)
-    Hf = np.zeros((n_y, n_z + 1, 5))
-    Hf[:, 1:-1] = _cu_combine(flux_zeta(up, om_int, c_up),
-                              flux_zeta(dn, om_int, c_dn),
-                              up, dn, sm_z, sp_z)
+    Hf = np.empty((n_y, n_z + 1, 5))
+    Hf[:, [0, -1]] = 0.0
+    _cu_combine(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
+                up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
 
     # --- nonconservative products ------------------------------------------
+    # weights of all five components keep the operands contiguous
     U_real = mid[real]
     sy_real = sy[real]
-    sz_real = sz[real]
-
-    Wy = _cell_weights(U_real[..., 0], sy_real[..., 0],
-                       U_real[..., 1:5], sy_real[..., 1:5], dy)
-    Qy_cell = _gp_rows(Wy, sigma_b)
-
-    Wi = _interface_weights(L[..., 0], R[..., 0], L[..., 1:5], R[..., 1:5])
-    Qy_if = _gp_rows(Wi, R[..., 4] - L[..., 4])
-
-    Wz = _cell_weights(U_real[..., 0], sz_real[..., 0],
-                       U_real[..., 1:5], sz_real[..., 1:5], dz)
-    Qz_cell = _gp_rows(Wz, -sigma_b)
+    sz_real = rec.slope_z[real]
+    Qy_cell = _gp_rows(_cell_weights(U_real[..., 0], sy_real[..., 0],
+                                     U_real, sy_real, dy), sigma_b)
+    Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L, R),
+                     R[..., 4] - L[..., 4])
+    Qz_cell = _gp_rows(_cell_weights(U_real[..., 0], sz_real[..., 0],
+                                     U_real, sz_real, dz), -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
 
     width_y = sp_y - sm_y
@@ -313,20 +356,29 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)[:, None]
     z_y = np.broadcast_to(np.asarray(params.bathymetry_slope(y), dtype=float),
                           y.shape)[:, None]
-    S = np.zeros_like(U_real)
+
+    # dudt = -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
+    dudt = np.subtract(Gf[1:], Gf[:-1])
+    dudt -= Qy_cell
+    tmp = np.multiply(cl[:-1], Qy_if[:-1], out=Qy_cell)
+    dudt -= tmp
+    np.multiply(cr[1:], Qy_if[1:], out=tmp)
+    dudt += tmp
+    np.negative(dudt, out=dudt)
+    dudt /= dy
+    np.subtract(Hf[:, 1:], Hf[:, :-1], out=tmp)
+    tmp -= Qz_cell
+    tmp /= dz
+    dudt -= tmp
+    S = np.zeros_like(dudt)
     S[..., 1] = f * U_real[..., 2]
     S[..., 2] = -f * U_real[..., 1] - g * U_real[..., 0] * z_y
-
-    dudt = (-(Gf[1:] - Gf[:-1] - Qy_cell
-              - cl[:-1] * Qy_if[:-1] + cr[1:] * Qy_if[1:]) / dy
-            - (Hf[:, 1:] - Hf[:, :-1] - Qz_cell) / dz
-            + S)
+    dudt += S
 
     # --- divergence-field evolution (first-order fluxes) --------------------
     v_mid = mid[..., 2] / mid[..., 0]
     ext_vz = np.concatenate([v_mid[:, :1], v_mid, v_mid[:, -1:]], axis=1)
     v_zeta = _minmod_slope(ext_vz, dz, theta, axis=1)      # (n_y+2, n_z)
-    hc_cen_all = coupling_c(sy[..., 4], dz)[1]             # incl. ghost rows
     phi_y = v_mid * B_mid - hc_cen_all * v_zeta            # (n_y+2, n_z)
 
     FyB = _cu_scalar(phi_y[:-1], phi_y[1:], B_mid[:-1], B_mid[1:], sm_y, sp_y)
@@ -359,14 +411,12 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
 def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Godunov-Powell contributions -(a, b, u, v) * integral per row.
 
-    ``W`` holds int chi/h for chi = (hu, hv, ha, hb) in its last axis and
-    ``grad`` the slope or jump of the divergence carrier.
+    ``W`` holds int chi/h for chi = U in its last axis and ``grad`` the
+    slope or jump of the divergence carrier.
     """
-    out = np.zeros(W.shape[:-1] + (5,))
-    out[..., 1] = -W[..., 2] * grad
-    out[..., 2] = -W[..., 3] * grad
-    out[..., 3] = -W[..., 0] * grad
-    out[..., 4] = -W[..., 1] * grad
+    out = W[..., [0, 3, 4, 1, 2]]
+    out *= -grad[..., None]
+    out[..., 0] = 0.0
     return out
 
 
@@ -375,29 +425,6 @@ def _cu_scalar(f_l, f_r, q_l, q_r, sm, sp):
     safe = np.where(width > 0.0, width, 1.0)
     out = (sp * f_l - sm * f_r) / safe + (sp * sm / safe) * (q_r - q_l)
     return np.where(width > 0.0, out, 0.0)
-
-
-def evolve_b(solution: Solution2D, params: RefParams, theta: float) -> np.ndarray:
-    """Time derivative of the divergence field B alone."""
-    return rhs2d(solution, params, theta).dbdt
-
-
-def reconstruct2d(solution: Solution2D, params: RefParams, theta: float):
-    """Interface values (north, south, up, down) on the real cells."""
-    grid = solution.grid
-    ext = _extend_y(solution.U, grid.boundary_y)
-    mid = ext[1:-1]
-    B_mid = _extend_y(solution.B, grid.boundary_y, 1)
-    sy = _minmod_slope(ext, grid.dy, theta, axis=0)
-    sigma = sigma_factor(sy[..., 4], B_mid)
-    sy[..., 4] = sigma * B_mid
-    ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
-    sz = _minmod_slope(ext_z, grid.dzeta, theta, axis=1)
-    real = slice(1, -1)
-    return (mid[real] + 0.5 * grid.dy * sy[real],
-            mid[real] - 0.5 * grid.dy * sy[real],
-            mid[real] + 0.5 * grid.dzeta * sz[real],
-            mid[real] - 0.5 * grid.dzeta * sz[real])
 
 
 def depth_average(solution: Solution2D) -> np.ndarray:

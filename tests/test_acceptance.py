@@ -1,9 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (to the real stderr, so it shows under
-pytest's capture).  Shared long runs live in module-scoped fixtures: the
-two full Example-2 comparisons, the Example-1 convergence family, and the
-Example-3 reference run.
+Each test prints one PASS/FAIL line on stderr; ``conftest.py`` repeats
+these lines in the terminal summary.  Shared long runs live in
+module-scoped fixtures: the two full Example-2 comparisons, the Example-1
+convergence family, and the Example-3 reference run.
 """
 
 import sys

@@ -41,6 +41,17 @@ class TestMinmod:
         if m != 0.0:
             assert np.sign(m) == np.sign(a) == np.sign(b) == np.sign(c)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-10, 10)] * 3),
+                    min_size=1, max_size=12))
+    def test_matches_definition(self, triples):
+        # zeros of either sign, mixed signs and agreeing signs, elementwise;
+        # a slope that is not limited to one sign is +0.0
+        z1, z2, z3 = (np.array(col) for col in zip(*triples))
+        want = [min(t) if all(x > 0 for x in t) else
+                max(t) if all(x < 0 for x in t) else 0.0 for t in triples]
+        assert fv1d.minmod3(z1, z2, z3).tobytes() == np.array(want).tobytes()
+
 
 class TestReconstruct:
     def test_constant_field(self):
@@ -190,6 +201,73 @@ class TestPathIntegrals:
             Q = fv1d.path_integral_interface(U_l, U_r, p)
             ref = quadrature_interface_oracle(U_l[0], U_r[0], p)
             np.testing.assert_allclose(Q[0], ref, rtol=1e-12, atol=1e-13)
+
+
+#: Gauss-Legendre rule on [0, 1] in extended precision for the weight oracles.
+_S, _W = closure.gauss_rule(40, extended=True)
+
+#: Relative depth changes across a cell or jump: none, below, around and
+#: above the flat-branch switch FLAT_H_TOL = 1e-9, up to a factor 1.5.
+rel_depth_change = (st.just(0.0)
+                    | st.floats(-14.0, -0.3).map(lambda e: 10.0 ** e)
+                    | st.floats(0.5e-9, 2e-9))
+
+
+def weight_tolerance(rel, scale):
+    """Error bound of the exact weights at relative depth change ``rel``.
+
+    The flat branch drops terms of order rel; the logarithmic branch loses
+    a few eps/rel to cancellation.  Both meet near rel = FLAT_H_TOL, where
+    the bound is loosest (about 2e-6 relative).
+    """
+    bound = 1e-13 + rel + (10.0 * np.finfo(float).eps / rel if rel > 0 else 0.0)
+    return bound * scale
+
+
+class TestPathWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 2.0), rel_depth_change, st.sampled_from([-1.0, 1.0]),
+           st.floats(0.01, 0.5),
+           st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10))
+    def test_cell_weights_match_quadrature(self, h_bar, rel, sign, dx, chi):
+        h_slope = sign * rel * h_bar / dx
+        chi_bar, chi_slope = np.array(chi[:5]), np.array(chi[5:]) / dx
+        W = fv1d._cell_weights(np.array([h_bar]), np.array([h_slope]),
+                               chi_bar[None], chi_slope[None], dx)[0]
+        y = (_S - 0.5) * dx
+        chi_y = chi_bar + np.multiply.outer(y, chi_slope)
+        ref = (_W[:, None] * chi_y / (h_bar + y * h_slope)[:, None]).sum(axis=0) * dx
+        scale = (np.abs(chi_bar) + np.abs(chi_slope) * dx + 1.0) * dx / h_bar
+        assert np.all(np.abs(W - ref) <= weight_tolerance(rel, scale))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 2.0), rel_depth_change, st.sampled_from([-1.0, 1.0]),
+           st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10))
+    def test_interface_weights_match_quadrature(self, h_l, rel, sign, chi):
+        h_r = h_l * (1.0 + sign * rel)
+        chi_l, chi_r = np.array(chi[:5]), np.array(chi[5:])
+        W = fv1d._interface_weights(np.array([h_l]), np.array([h_r]),
+                                    chi_l[None], chi_r[None])[0]
+        chi_s = chi_l + np.multiply.outer(_S, chi_r - chi_l)
+        ref = (_W[:, None] * chi_s / (h_l + _S * (h_r - h_l))[:, None]).sum(axis=0)
+        scale = (np.abs(chi_l) + np.abs(chi_r) + 1.0) / min(h_l, h_r)
+        assert np.all(np.abs(W - ref) <= weight_tolerance(rel, scale))
+
+    def test_batched_rows_match_single_rows(self):
+        # masked evaluation: a batch mixing flat and sloped cells gives each
+        # row what that row gives alone
+        rng = np.random.default_rng(5)
+        h = rng.uniform(0.5, 2.0, 12)
+        dh = h * np.array([0.0, 1e-12, 0.3, -0.2, 5e-10, 2e-9] * 2)
+        chi = rng.normal(size=(12, 5))
+        chi2 = rng.normal(size=(12, 5))
+        for fn, args in ((fv1d._cell_weights, (h, dh / 0.1, chi, chi2, 0.1)),
+                         (fv1d._interface_weights, (h, h + dh, chi, chi2))):
+            batch = fn(*args)
+            for i in range(12):
+                row = fn(*(a[i:i + 1] if isinstance(a, np.ndarray) else a
+                           for a in args))
+                assert batch[i].tobytes() == row[0].tobytes()
 
 
 class TestRhs:

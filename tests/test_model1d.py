@@ -154,6 +154,24 @@ class TestFlux:
         with pytest.raises(DryStateError):
             model1d.flux_g(np.array([0.0, 0.0, 0.0, 0.0, 0.0]), p)
 
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_shared_quadratic_flux_gives_same_bits(self, order):
+        # the right-hand side evaluates the quadratic flux once and hands it
+        # to both the Jacobian (via the speeds) and the flux
+        p = params_for(order)
+        UL, UR = (random_states(np.random.default_rng(60 + k), order, 7)
+                  for k in range(2))
+        both = np.concatenate([UL, UR])
+        quad = model1d.quadratic_flux(both, p)
+        kept = quad.copy()
+        assert model1d.flux_g(both, p, quad).tobytes() == model1d.flux_g(both, p).tobytes()
+        assert (model1d.jacobian(both, p, quad).tobytes()
+                == model1d.jacobian(both, p).tobytes())
+        shared = model1d.interface_speeds(UL, UR, p, np.inf, quad=quad)
+        for a, b in zip(shared, model1d.interface_speeds(UL, UR, p, np.inf)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert quad.tobytes() == kept.tobytes()
+
 
 class TestFluxKernel:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])

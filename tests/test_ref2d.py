@@ -148,7 +148,7 @@ class TestEvolveB:
     def test_zero_b_stays_zero(self):
         grid = Grid2D(-1.0, 1.0, 8, 6)
         sol = uniform_solution(grid, [1.0, 0.1, 0.2, 0.05, 0.4])
-        dbdt = ref2d.evolve_b(sol, RefParams(g=1.0), theta=1.3)
+        dbdt = ref2d.rhs2d(sol, RefParams(g=1.0), theta=1.3).dbdt
         np.testing.assert_allclose(dbdt, 0.0, atol=1e-14)
 
     def test_uniform_advection_transports_blob(self):
@@ -161,7 +161,7 @@ class TestEvolveB:
         dt = 0.2 * grid.dy
         t = 0.0
         for _ in range(80):
-            sol.B = sol.B + dt * ref2d.evolve_b(sol, p, theta=1.3)
+            sol.B = sol.B + dt * ref2d.rhs2d(sol, p, theta=1.3).dbdt
             t += dt
         peak = y[np.argmax(sol.B[:, 0])]
         assert peak == pytest.approx(v0 * t, abs=3 * grid.dy)
@@ -193,9 +193,20 @@ class TestReconstruct2D:
     def test_constant_fields(self):
         grid = Grid2D(0.0, 1.0, 6, 5)
         sol = uniform_solution(grid, [1.5, 0.1, -0.2, 0.3, 0.7])
-        N, S, Uu, D = ref2d.reconstruct2d(sol, RefParams(g=1.0), theta=1.3)
-        for face in (N, S, Uu, D):
-            np.testing.assert_allclose(face, sol.U, atol=1e-14)
+        rec = ref2d.reconstruct2d(sol, RefParams(g=1.0), theta=1.3)
+        for face in (rec.north, rec.south, rec.up, rec.down):
+            np.testing.assert_allclose(face[1:-1], sol.U, atol=1e-14)
+
+    def test_depth_slope_clipped_at_floor(self):
+        # the limited slope of cell 4 would put a face at 0.47, below the
+        # floor 0.5, so that depth slope is dropped
+        grid = Grid2D(0.0, 1.0, 8, 6, boundary_y="outflow")
+        sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
+        sol.U[..., 0] = np.array([1.0, 1.0, 1.0, 0.8, 0.6, 0.1, 0.1, 0.1])[:, None]
+        rec = ref2d.reconstruct2d(sol, RefParams(g=1.0, h_min=0.5), theta=1.3)
+        assert np.all(rec.slope_y[5, :, 0] == 0.0)       # row 5 = cell 4
+        np.testing.assert_array_equal(rec.south[5, :, 0], 0.6)
+        assert np.all(rec.slope_y[4, :, 0] < 0.0)        # cell 3 keeps its slope
 
 
 class TestRhs2D:
