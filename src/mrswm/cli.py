@@ -16,7 +16,9 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -38,6 +40,14 @@ MODES = ("run-moment", "run-reference", "compare", "hyperbolicity-scan", "tensor
 _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "tanh", "cosh", "sinh", "exp", "log",
                 "sqrt", "abs", "pi", "e", "where", "minimum", "maximum")}
+
+#: Operators an initial-condition expression may use.
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+             ast.Mod: operator.mod, ast.Pow: operator.pow,
+             ast.UAdd: operator.pos, ast.USub: operator.neg,
+             ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+             ast.GtE: operator.ge, ast.Eq: operator.eq, ast.NotEq: operator.ne}
 
 
 @dataclass
@@ -104,6 +114,9 @@ class RunConfig:
             custom = self.ic_h is not None
             if self.example is None and not custom:
                 raise ConfigError("example: required (or give ic_* expressions)")
+        for key in ("ic_h", "ic_u", "ic_v", "ic_hb"):
+            if getattr(self, key) is not None:
+                _expr_field(getattr(self, key), key)
         return self
 
 
@@ -162,20 +175,49 @@ def parse_config(text: str, mode: str | None = None,
     return RunConfig(**merged).validate()
 
 
-def _expr_field(expr: str, config_key: str):
-    """Compile an initial-condition expression of (y, zeta)."""
-    try:
-        code = compile(expr, f"<{config_key}>", "eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"{config_key}: bad expression ({exc})") from exc
+def _evaluate(node: ast.AST, names: dict):
+    """Value of an expression tree over ``names`` (y, zeta and constants).
 
+    Numbers (as floats: no unbounded integer powers), names, the operators
+    of ``_EXPR_OPS`` and positional calls of the functions of
+    ``_EXPR_NAMES`` only; anything else is a ConfigError.
+    """
+    def ev(child):
+        return _evaluate(child, names)
+
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](ev(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](ev(node.left), ev(node.right))
+    if (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and type(node.ops[0]) in _EXPR_OPS):
+        return _EXPR_OPS[type(node.ops[0])](ev(node.left), ev(node.comparators[0]))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(fn := _EXPR_NAMES.get(node.func.id)) and not node.keywords
+            and len(node.args) == getattr(fn, "nin", 3)):
+        return fn(*map(ev, node.args))
+    raise ConfigError(f"{ast.unparse(node)!r} is not allowed in an expression")
+
+
+def _expr_field(expr: str, config_key: str):
+    """Compile an initial-condition expression of (y, zeta); one trial
+    evaluation at y = zeta = 0 turns every error in it into a ConfigError."""
     def func(y, zeta=0.0):
-        names = dict(_EXPR_NAMES)
-        names["y"] = np.asarray(y, dtype=float)
-        names["zeta"] = np.asarray(zeta, dtype=float)
-        out = eval(code, {"__builtins__": {}}, names)
-        return np.broadcast_to(np.asarray(out, dtype=float),
+        names = {k: v for k, v in _EXPR_NAMES.items() if not callable(v)}
+        names.update(y=np.asarray(y, dtype=float), zeta=np.asarray(zeta, dtype=float))
+        return np.broadcast_to(np.asarray(_evaluate(tree.body, names), dtype=float),
                                np.broadcast(names["y"], names["zeta"]).shape).copy()
+
+    try:
+        tree = ast.parse(expr, f"<{config_key}>", mode="eval")
+        with np.errstate(all="ignore"):
+            func(0.0)
+    except (SyntaxError, ArithmeticError, ConfigError) as exc:
+        raise ConfigError(f"{config_key}: bad expression ({exc})") from exc
     return func
 
 

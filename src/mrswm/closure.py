@@ -95,12 +95,6 @@ class BasisSet:
         return np.stack([npoly.polyval(z, c) for c in self.poly_coeffs])
 
 
-def basis_eval(l: int, zeta, order: int | None = None):
-    """Evaluate phi_l(zeta); ``order`` defaults to l."""
-    basis = BasisSet.build(l if order is None else order)
-    return basis.eval(l, zeta)
-
-
 def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence (any float dtype)."""
     p_prev = np.ones_like(x)

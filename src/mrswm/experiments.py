@@ -27,7 +27,6 @@ from .io import format_float, write_csv
 
 logger = logging.getLogger(__name__)
 
-PROFILE_CASES = ("constant", "linear", "quadratic", "sinusoid")
 BUMP_CASES = ("constant", "linear", "quadratic", "cubic")
 
 #: Vertical velocity profiles of Examples 1-2, all of depth mean 1/4:
@@ -295,7 +294,7 @@ class ComparisonResult:
     report: ErrorReport
     reference: ref2d.Solution2D
     moment_runs: dict[int, fv1d.Solution1D]
-    ref_stats: ref2d.Run2DStats
+    ref_stats: fv1d.RunStats
     moment_stats: dict[int, fv1d.RunStats]
 
     @property
@@ -384,25 +383,40 @@ def write_comparison_outputs(result: ComparisonResult, out_dir) -> list[Path]:
     return written
 
 
+def lockstep(sol1: fv1d.Solution1D, params: model1d.ModelParams,
+             sol2: ref2d.Solution2D, rparams: ref2d.RefParams, t_final: float,
+             nu: float, theta: float) -> tuple[fv1d.Solution1D, ref2d.Solution2D]:
+    """Advance a moment and a reference solution with shared time steps.
+
+    Both integrate as one state (cells, U, B), so each step is the CFL
+    minimum over the directions of both meshes.
+    """
+    g1, g2 = sol1.grid, sol2.grid
+
+    def rates(state, t):
+        cells, U, B = state
+        r1 = fv1d.rhs(fv1d.Solution1D(g1, cells, t), params, theta)
+        r2 = ref2d.rhs2d(ref2d.Solution2D(g2, U, B, t), rparams, theta)
+        return (r1.dudt, r2.dudt, r2.dbdt), fv1d.StepDiagnostics(
+            (r1.max_speed, r2.max_speed_y, r2.max_speed_z),
+            r1.max_im_ratio, r2.div_residual)
+
+    (cells, U, B), t, _ = fv1d.integrate(
+        (sol1.cells, sol2.U, sol2.B), sol1.time, t_final, rates,
+        (g1.dy, g2.dy, g2.dzeta), nu, (params.h_min, rparams.h_min, None))
+    return fv1d.Solution1D(g1, cells, t), ref2d.Solution2D(g2, U, B, t)
+
+
 def lockstep_cross_check(spec: ExperimentSpec, t_final: float,
                          n_cells: int, n_zeta: int = 8) -> dict[str, float]:
     """Run the M=0 moment solver and the reference solver with shared time
     steps from zeta-independent data; returns L1 distances of the mean
     fields.  Used for cross-model consistency checks (b = 0 data keeps
     both solvers formally identical row by row)."""
-    params = model_params(spec, 0)
-    sol1 = initial_moment_solution(spec, 0, n_cells)
-    sol2 = initial_reference_solution(spec, n_cells, n_zeta)
-    rparams = ref_params(spec)
-
-    while sol1.time < t_final - 1e-14:
-        r1 = fv1d.rhs(sol1, params, spec.theta)
-        dt1 = spec.nu * sol1.grid.dy / r1.max_speed
-        dt2 = ref2d.cfl_dt_2d(sol2, rparams, spec.nu, spec.theta)
-        dt = min(dt1, dt2, t_final - sol1.time)
-        sol1, _ = fv1d.step_ssprk3(sol1, params, dt, spec.theta)
-        sol2, _ = ref2d.step_ssprk3_2d(sol2, rparams, dt, spec.theta)
-
+    sol1, sol2 = lockstep(initial_moment_solution(spec, 0, n_cells),
+                          model_params(spec, 0),
+                          initial_reference_solution(spec, n_cells, n_zeta),
+                          ref_params(spec), t_final, spec.nu, spec.theta)
     mean1 = moment_mean_fields(sol1)
     mean2 = reference_mean_fields(sol2)
     return {var: l1_error(mean1[var], mean2[var], sol1.grid.dy)

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import model1d
 from .errors import DryStateError, SolverError
-from .model1d import H, HB, ModelParams
+from .model1d import H, ModelParams
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +40,10 @@ logger = logging.getLogger(__name__)
 #: branch is used (the logarithmic branch cancels catastrophically there).
 FLAT_H_TOL = 1e-9
 
-DEFAULT_DT_MAX = 1.0
+#: Step taken when every speed vanishes.
+DT_MAX = 1.0
+#: Steps after which ``integrate`` gives up on reaching the final time.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,40 @@ def minmod3(z1, z2, z3):
     return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))[()]
 
 
-def fill_ghosts(cells: np.ndarray, boundary: str) -> np.ndarray:
-    """Append two ghost cells per side (periodic wrap or copy of the edge)."""
+def fill_ghosts(cells: np.ndarray, boundary: str, n_ghost: int = 2) -> np.ndarray:
+    """Append ghost cells per side along axis 0 (periodic wrap or copy of the edge)."""
     if boundary == "periodic":
-        return np.concatenate([cells[-2:], cells, cells[:2]])
-    return np.concatenate([cells[:1], cells[:1], cells, cells[-1:], cells[-1:]])
+        return np.concatenate([cells[-n_ghost:], cells, cells[:n_ghost]])
+    return np.concatenate([cells[:1]] * n_ghost + [cells] + [cells[-1:]] * n_ghost)
+
+
+def limited_slope(ext: np.ndarray, dx: float, theta: float, axis: int = 0) -> np.ndarray:
+    """Generalized-minmod slope on the interior of an array with one ghost
+    per side along ``axis``.
+
+    The backward difference of a cell is the forward difference of the
+    one before it, so each difference is formed once.
+    """
+    ext = np.moveaxis(ext, axis, 0)
+    diff = np.subtract(ext[1:], ext[:-1])
+    diff /= dx
+    central = diff[1:] + diff[:-1]
+    central *= 0.5
+    diff *= theta
+    return np.moveaxis(minmod3(diff[1:], central, diff[:-1]), 0, axis)
+
+
+def clip_depth_slope(u_bar: np.ndarray, slope: np.ndarray, dx: float,
+                     h_min: float) -> None:
+    """Zero, in place, the depth slope of every cell in which a face depth
+    would fall to or below the floor (and log how many)."""
+    half = 0.5 * dx * slope[..., H]
+    h = u_bar[..., H]
+    bad = (h + half <= h_min) | (h - half <= h_min)
+    if np.any(bad):
+        logger.warning("clipped depth slope in %d cell(s) to keep h above floor",
+                       int(bad.sum()))
+        slope[..., H][bad] = 0.0
 
 
 @dataclass
@@ -122,37 +154,39 @@ def reconstruct(solution: Solution1D, theta: float,
     dy = solution.grid.dy
     ext = fill_ghosts(solution.cells, solution.grid.boundary)
     mid = ext[1:-1]
-    fwd = (ext[2:] - mid) / dy
-    bwd = (mid - ext[:-2]) / dy
-    slope = minmod3(theta * fwd, 0.5 * (fwd + bwd), theta * bwd)
-
-    half = 0.5 * dy * slope[:, H]
-    bad = (mid[:, H] + half <= h_min) | (mid[:, H] - half <= h_min)
-    if np.any(bad):
-        logger.warning("clipped depth slope in %d cell(s) to keep h above floor",
-                       int(bad.sum()))
-        slope[bad, H] = 0.0
+    slope = limited_slope(ext, dy, theta)
+    clip_depth_slope(mid, slope, dy, h_min)
 
     north = mid + 0.5 * dy * slope
     south = mid - 0.5 * dy * slope
     return Reconstruction(u_bar=mid, slope=slope, south=south, north=north)
 
 
-def cu_flux(U_left: np.ndarray, U_right: np.ndarray, s_minus, s_plus,
-            params: ModelParams) -> np.ndarray:
-    """Central-upwind numerical flux for batched interface state pairs."""
-    G_l = model1d.flux_g(U_left, params)
-    G_r = model1d.flux_g(U_right, params)
-    return cu_flux_from_values(G_l, G_r, U_left, U_right, s_minus, s_plus)
+def cu_flux_from_values(G_l, G_r, U_left, U_right, s_minus, s_plus,
+                        out=None) -> np.ndarray:
+    """Central-upwind flux from face fluxes and one-sided speeds.
 
-
-def cu_flux_from_values(G_l, G_r, U_left, U_right, s_minus, s_plus) -> np.ndarray:
-    sm = np.asarray(s_minus, dtype=float)[..., None]
-    sp = np.asarray(s_plus, dtype=float)[..., None]
+    Evaluates (sp G_l - sm G_r) / (sp - sm) + sp sm / (sp - sm) (U_r - U_l)
+    over the trailing component axis, and 0 where sp = sm, into ``out``
+    (a new array if None).  ``G_r`` is overwritten.
+    """
+    sm = np.asarray(s_minus, dtype=float)
+    sp = np.asarray(s_plus, dtype=float)
     width = sp - sm
-    safe = np.where(width > 0.0, width, 1.0)
-    flux = (sp * G_l - sm * G_r) / safe + (sp * sm / safe) * (U_right - U_left)
-    return np.where(width > 0.0, flux, 0.0)
+    moving = width > 0.0
+    safe = np.where(moving, width, 1.0)[..., None]
+    smn = sm[..., None]
+    spn = sp[..., None]
+    out = np.multiply(spn, G_l, out=out)
+    np.multiply(smn, G_r, out=G_r)
+    out -= G_r
+    out /= safe
+    np.subtract(U_right, U_left, out=G_r)
+    G_r *= spn * smn / safe
+    out += G_r
+    if not moving.all():
+        out[~moving] = 0.0
+    return out
 
 
 def _cell_weights(h_bar, h_slope, chi_bar, chi_slope, dx) -> np.ndarray:
@@ -287,103 +321,97 @@ def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
     return RhsResult(dudt=dudt, max_speed=max_speed, max_im_ratio=im_ratio)
 
 
-def cfl_dt(solution: Solution1D, params: ModelParams, nu: float,
-           theta: float = 1.3, dt_max: float = DEFAULT_DT_MAX) -> float:
-    """CFL time step nu * dy / max |s|; capped at dt_max if all speeds vanish."""
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
-    rec = reconstruct(solution, theta, params.h_min)
-    sm, sp, _ = model1d.interface_speeds(rec.north[:-1], rec.south[1:], params)
-    max_speed = float(np.maximum(sp, -sm).max())
-    if max_speed <= 0.0:
-        return dt_max
-    return min(nu * solution.grid.dy / max_speed, dt_max)
-
-
-def ssprk3(y0: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-           dt: float) -> np.ndarray:
-    """One step of the optimal three-stage third-order SSP Runge-Kutta."""
-    y1 = y0 + dt * f(y0)
-    y2 = 0.75 * y0 + 0.25 * (y1 + dt * f(y1))
-    return y0 / 3.0 + (2.0 / 3.0) * (y2 + dt * f(y2))
-
-
 @dataclass
 class StepDiagnostics:
-    max_im_ratio: float = 0.0
-    max_speed: float = 0.0
+    """What a right-hand side reports; for a step, the max over its stages."""
 
+    max_speed: tuple[float, ...]     # one per direction of the state
+    max_im_ratio: float = 0.0        # moment solver
+    div_residual: float = 0.0        # reference solver
 
-def step_ssprk3(solution: Solution1D, params: ModelParams, dt: float,
-                theta: float = 1.3) -> tuple[Solution1D, StepDiagnostics]:
-    """Advance one SSP-RK3 step; validates every stage state."""
-    r1 = rhs(solution, params, theta)
-    return _finish_step(solution, params, r1, dt, theta)
-
-
-def _finish_step(solution: Solution1D, params: ModelParams, r1: RhsResult,
-                 dt: float, theta: float) -> tuple[Solution1D, StepDiagnostics]:
-    """Stages of SSP-RK3 given the step-start evaluation r1."""
-    diag = StepDiagnostics(max_im_ratio=r1.max_im_ratio, max_speed=r1.max_speed)
-
-    def stage(cells, t):
-        r = rhs(Solution1D(solution.grid, cells, t), params, theta)
-        diag.max_im_ratio = max(diag.max_im_ratio, r.max_im_ratio)
-        diag.max_speed = max(diag.max_speed, r.max_speed)
-        return r.dudt
-
-    u0 = solution.cells
-    t0 = solution.time
-    u1 = u0 + dt * r1.dudt
-    model1d.check_valid(u1, params.h_min)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * stage(u1, t0 + dt))
-    model1d.check_valid(u2, params.h_min)
-    u3 = u0 / 3.0 + (2.0 / 3.0) * (u2 + dt * stage(u2, t0 + 0.5 * dt))
-    model1d.check_valid(u3, params.h_min)
-    return Solution1D(solution.grid, u3, t0 + dt), diag
+    def merge(self, other: "StepDiagnostics") -> "StepDiagnostics":
+        return StepDiagnostics(tuple(map(max, self.max_speed, other.max_speed)),
+                               max(self.max_im_ratio, other.max_im_ratio),
+                               max(self.div_residual, other.div_residual))
 
 
 @dataclass
 class RunStats:
     n_steps: int = 0
     max_im_ratio: float = 0.0
+    max_div_residual: float = 0.0
     wall_time: float = 0.0
+
+
+State = tuple[np.ndarray, ...]
+
+
+def integrate(state: State, t0: float, t_final: float, rhs: Callable,
+              spacing: tuple[float, ...], nu: float, floors: tuple[float | None, ...],
+              callback: Callable | None = None) -> tuple[State, float, RunStats]:
+    """March a tuple of arrays from t0 to t_final with three-stage SSP-RK3
+    (Gottlieb, Shu & Tadmor 2001) under a CFL bound.
+
+    ``rhs(state, t)`` returns the derivatives of the arrays and the
+    StepDiagnostics of that evaluation, whose ``max_speed`` pairs with the
+    mesh widths in ``spacing``.  The step-start evaluation, also the first
+    stage, fixes dt = min(DT_MAX, nu dx / s over directions with s > 0),
+    cut to land on t_final.  Every stage of an array with a depth floor in
+    ``floors`` (None: no depth) goes through ``model1d.check_valid``.
+    ``callback(state, t, diagnostics)`` runs after each step.
+    """
+    if not 0.0 < nu <= 0.5:
+        raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
+
+    def check(u: State, t: float) -> None:
+        for arr, h_min in zip(u, floors):
+            if h_min is not None:
+                model1d.check_valid(arr, h_min, t)
+
+    stats = RunStats()
+    tic = time.perf_counter()
+    u0, t = tuple(arr.copy() for arr in state), t0
+    while t < t_final - 1e-14 * max(1.0, t_final):
+        k1, diag = rhs(u0, t)
+        dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)
+                             if s > 0.0])
+        dt = min(dt, t_final - t)
+        u1 = tuple(u + dt * k for u, k in zip(u0, k1))
+        check(u1, t + dt)
+        k2, d2 = rhs(u1, t + dt)
+        u2 = tuple(0.75 * u + 0.25 * (v + dt * k) for u, v, k in zip(u0, u1, k2))
+        check(u2, t + 0.5 * dt)
+        k3, d3 = rhs(u2, t + 0.5 * dt)
+        u0 = tuple(u / 3.0 + (2.0 / 3.0) * (v + dt * k) for u, v, k in zip(u0, u2, k3))
+        t = t + dt
+        check(u0, t)
+        diag = diag.merge(d2).merge(d3)
+        stats.n_steps += 1
+        stats.max_im_ratio = max(stats.max_im_ratio, diag.max_im_ratio)
+        stats.max_div_residual = max(stats.max_div_residual, diag.div_residual)
+        logger.debug("step %d t=%.6g dt=%.3e imag ratio %.2e",
+                     stats.n_steps, t, dt, diag.max_im_ratio)
+        if callback is not None:
+            callback(u0, t, diag)
+        if stats.n_steps >= MAX_STEPS:
+            raise SolverError(f"exceeded {MAX_STEPS} steps before t={t_final}")
+    stats.wall_time = time.perf_counter() - tic
+    return u0, t, stats
 
 
 def run(solution: Solution1D, params: ModelParams, t_final: float,
         nu: float = 0.45, theta: float = 1.3,
-        dt_max: float = DEFAULT_DT_MAX,
         callback: Callable[[Solution1D, StepDiagnostics], None] | None = None,
-        dt_controller: Callable[[Solution1D, float], float] | None = None,
-        max_steps: int = 10_000_000) -> tuple[Solution1D, RunStats]:
-    """March the solution to t_final with adaptive CFL steps.
+        ) -> tuple[Solution1D, RunStats]:
+    """March the solution to t_final with adaptive CFL steps (``integrate``)."""
+    grid = solution.grid
 
-    The step size is fixed once per step from the step-start speeds (the
-    first stage evaluates that same state, so its speed bound is reused);
-    later stages recompute interface speeds for their own fluxes.  An
-    optional ``dt_controller(solution, dt_cfl) -> dt`` can shrink the step,
-    e.g. to run two solvers in lockstep.
-    """
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
-    stats = RunStats()
-    tic = time.perf_counter()
-    sol = solution.copy()
-    while sol.time < t_final - 1e-14 * max(1.0, t_final):
-        r1 = rhs(sol, params, theta)
-        dt = dt_max if r1.max_speed <= 0.0 else min(
-            nu * sol.grid.dy / r1.max_speed, dt_max)
-        if dt_controller is not None:
-            dt = dt_controller(sol, dt)
-        dt = min(dt, t_final - sol.time)
-        sol, diag = _finish_step(sol, params, r1, dt, theta)
-        stats.n_steps += 1
-        stats.max_im_ratio = max(stats.max_im_ratio, diag.max_im_ratio)
-        logger.debug("step %d t=%.6g dt=%.3e imag ratio %.2e",
-                     stats.n_steps, sol.time, dt, diag.max_im_ratio)
-        if callback is not None:
-            callback(sol, diag)
-        if stats.n_steps >= max_steps:
-            raise SolverError(f"exceeded {max_steps} steps before t={t_final}")
-    stats.wall_time = time.perf_counter() - tic
-    return sol, stats
+    def rates(state, t):
+        r = rhs(Solution1D(grid, state[0], t), params, theta)
+        return (r.dudt,), StepDiagnostics((r.max_speed,), r.max_im_ratio)
+
+    on_step = None if callback is None else (
+        lambda state, t, diag: callback(Solution1D(grid, state[0], t), diag))
+    (cells,), t, stats = integrate((solution.cells,), solution.time, t_final, rates,
+                                   (grid.dy,), nu, (params.h_min,), on_step)
+    return Solution1D(grid, cells, t), stats

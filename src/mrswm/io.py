@@ -32,14 +32,6 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             f.write(",".join(format_float(c[i]) for c in columns) + "\n")
 
 
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a CSV written by ``write_csv``; returns (header, columns)."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    return header, data.T
-
-
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:

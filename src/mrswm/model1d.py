@@ -24,7 +24,6 @@ against the same data.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +60,6 @@ class ModelParams:
     order: int
     tensors: ClosureTensors | None = None
     coriolis: Callable = _zero_fn            # f(y)
-    bathymetry: Callable = _zero_fn          # Z(y)
     bathymetry_slope: Callable = _zero_fn    # Z_y(y)
     h_min: float = DEFAULT_H_MIN
     tol_im: float = DEFAULT_TOL_IM
@@ -91,17 +89,26 @@ class ModelParams:
         return n_vars(self.order)
 
 
-def check_valid(U: np.ndarray, h_min: float = DEFAULT_H_MIN) -> None:
-    """Reject states with non-finite entries or depth at/below the floor."""
+def check_valid(U: np.ndarray, h_min: float = DEFAULT_H_MIN,
+                t: float | None = None) -> None:
+    """Reject states with non-finite entries or depth at/below the floor.
+
+    The error names the quantity, the flat cell index (cells in row-major
+    order over all axes but the last) and, when given, the time.
+    """
     U = np.asarray(U)
+    when = "" if t is None else f" at t={t:.6g}"
     if not np.all(np.isfinite(U)):
-        raise DryStateError("non-finite state encountered")
+        cell, comp = divmod(int(np.argmin(np.isfinite(U))), U.shape[-1])
+        value = U.reshape(-1, U.shape[-1])[cell, comp]
+        raise DryStateError(f"non-finite value {value} in component {comp} "
+                            f"at flat cell index {cell}{when}")
     h = U[..., H]
     if np.any(h <= h_min):
         j = int(np.argmin(h))
         raise DryStateError(
-            f"depth {h.reshape(-1)[np.argmin(h)]:.3e} at flat index {j} "
-            f"is at or below the floor {h_min:.1e}")
+            f"depth {h.reshape(-1)[j]:.3e} at flat cell index {j} "
+            f"is at or below the floor {h_min:.1e}{when}")
 
 
 def flux_g(U: np.ndarray, params: ModelParams,
@@ -259,23 +266,10 @@ def noncons_columns(order: int) -> list[int]:
     return cols
 
 
-_Q_TENSOR_CACHE: "weakref.WeakKeyDictionary[ClosureTensors, np.ndarray]" = None
-
-
-def noncons_q(U: np.ndarray, tensors: ClosureTensors,
-              h_min: float = DEFAULT_H_MIN) -> np.ndarray:
+def noncons_q(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """Nonconservative matrix Q(U); batched as (..., n, n)."""
-    global _Q_TENSOR_CACHE
-    U = np.asarray(U, dtype=float)
-    if np.any(U[..., H] <= h_min):
-        check_valid(U, h_min)
-    if _Q_TENSOR_CACHE is None:
-        _Q_TENSOR_CACHE = weakref.WeakKeyDictionary()
-    T = _Q_TENSOR_CACHE.get(tensors)
-    if T is None:
-        T = coupling_tensor(tensors)
-        _Q_TENSOR_CACHE[tensors] = T
-    return np.einsum("rck,...k->...rc", T, U) / U[..., H][..., None, None]
+    U = _checked(U, params)
+    return np.einsum("rck,...k->...rc", params.q_tensor, U) / U[..., H][..., None, None]
 
 
 def jacobian(U: np.ndarray, params: ModelParams,

@@ -22,22 +22,16 @@ horizontally.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DryStateError, SolverError
-from .fv1d import FLAT_H_TOL, _cell_weights, _interface_weights, minmod3
-from .model1d import DEFAULT_H_MIN
-
-logger = logging.getLogger(__name__)
-
-
-def _zero_fn(y):
-    return np.zeros_like(np.asarray(y, dtype=float))
+from .errors import DryStateError
+from .fv1d import (RunStats, StepDiagnostics, _cell_weights, _interface_weights,
+                   clip_depth_slope, cu_flux_from_values, fill_ghosts, integrate,
+                   limited_slope)
+from .model1d import DEFAULT_H_MIN, _zero_fn, source_s
 
 
 @dataclass(frozen=True)
@@ -79,7 +73,6 @@ class RefParams:
 
     g: float
     coriolis: Callable = _zero_fn
-    bathymetry: Callable = _zero_fn
     bathymetry_slope: Callable = _zero_fn
     h_min: float = DEFAULT_H_MIN
 
@@ -96,9 +89,6 @@ class Solution2D:
     U: np.ndarray            # (n_y, n_zeta, 5)
     B: np.ndarray            # (n_y, n_zeta)
     time: float = 0.0
-
-    def copy(self) -> "Solution2D":
-        return Solution2D(self.grid, self.U.copy(), self.B.copy(), self.time)
 
 
 def flux_y(U: np.ndarray, g: float, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
@@ -127,27 +117,6 @@ def flux_zeta(U: np.ndarray, omega, C) -> np.ndarray:
     Hf[..., 3] -= u * HC
     Hf[..., 4] -= v * HC
     return Hf
-
-
-def _extend_y(arr: np.ndarray, boundary: str, n_ghost: int = 2) -> np.ndarray:
-    if boundary == "periodic":
-        return np.concatenate([arr[-n_ghost:], arr, arr[:n_ghost]], axis=0)
-    return np.concatenate([arr[:1]] * n_ghost + [arr] + [arr[-1:]] * n_ghost, axis=0)
-
-
-def _minmod_slope(ext: np.ndarray, dx: float, theta: float, axis: int) -> np.ndarray:
-    """Limited slope on the interior of an array with one ghost per side.
-
-    The backward difference of a cell is the forward difference of the
-    one before it, so each difference is formed once.
-    """
-    ext = np.moveaxis(ext, axis, 0)
-    diff = np.subtract(ext[1:], ext[:-1])
-    diff /= dx
-    central = diff[1:] + diff[:-1]
-    central *= 0.5
-    diff *= theta
-    return np.moveaxis(minmod3(diff[1:], central, diff[:-1]), 0, axis)
 
 
 def sigma_factor(minmod_slope_hb: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -200,30 +169,6 @@ def coupling_c(sigma_b: np.ndarray, dzeta: float) -> tuple[np.ndarray, np.ndarra
     return faces, centers
 
 
-def _cu_combine(F_l, F_r, U_l, U_r, sm, sp, out=None):
-    """Central-upwind flux from face fluxes and one-sided speeds.
-
-    Evaluates (sp F_l - sm F_r) / (sp - sm) + sp sm / (sp - sm) (U_r - U_l),
-    and 0 where sp = sm, into ``out`` (a new array if None).  ``F_r`` is
-    overwritten.
-    """
-    width = sp - sm
-    moving = width > 0.0
-    safe = np.where(moving, width, 1.0)[..., None]
-    smn = sm[..., None]
-    spn = sp[..., None]
-    out = np.multiply(spn, F_l, out=out)
-    np.multiply(smn, F_r, out=F_r)
-    out -= F_r
-    out /= safe
-    np.subtract(U_r, U_l, out=F_r)
-    F_r *= spn * smn / safe
-    out += F_r
-    if not moving.all():
-        out[~moving] = 0.0
-    return out
-
-
 @dataclass
 class Rhs2DResult:
     dudt: np.ndarray
@@ -231,14 +176,6 @@ class Rhs2DResult:
     max_speed_y: float
     max_speed_z: float
     div_residual: float
-
-
-def _clip_h_slope(mid_h, slope_h, half_dx, h_min):
-    bad = (mid_h + half_dx * slope_h <= h_min) | (mid_h - half_dx * slope_h <= h_min)
-    if np.any(bad):
-        logger.warning("clipped depth slope in %d cell(s)", int(bad.sum()))
-        slope_h = np.where(bad, 0.0, slope_h)
-    return slope_h
 
 
 @dataclass
@@ -264,17 +201,17 @@ def reconstruct2d(solution: Solution2D, params: RefParams,
     """Limited piecewise-linear face values in both directions."""
     grid = solution.grid
     dy, dz = grid.dy, grid.dzeta
-    ext = _extend_y(solution.U, grid.boundary_y)          # (n_y+4, n_z, 5)
+    ext = fill_ghosts(solution.U, grid.boundary_y)         # (n_y+4, n_z, 5)
     mid = ext[1:-1]
-    B_mid = _extend_y(solution.B, grid.boundary_y, 1)
+    B_mid = fill_ghosts(solution.B, grid.boundary_y, 1)
 
-    sy = _minmod_slope(ext, dy, theta, axis=0)
+    sy = limited_slope(ext, dy, theta)
     sy[..., 4] = sigma_factor(sy[..., 4], B_mid) * B_mid
-    sy[..., 0] = _clip_h_slope(mid[..., 0], sy[..., 0], 0.5 * dy, params.h_min)
+    clip_depth_slope(mid, sy, dy, params.h_min)
 
     ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
-    sz = _minmod_slope(ext_z, dz, theta, axis=1)
-    sz[..., 0] = _clip_h_slope(mid[..., 0], sz[..., 0], 0.5 * dz, params.h_min)
+    sz = limited_slope(ext_z, dz, theta, axis=1)
+    clip_depth_slope(mid, sz, dz, params.h_min)
 
     half = 0.5 * dy * sy
     north, south = mid + half, mid - half
@@ -310,8 +247,8 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     lo_r, hi_r = wave(R)
     sp_y = np.maximum(np.maximum(hi_l, hi_r), 0.0)
     sm_y = np.minimum(np.minimum(lo_l, lo_r), 0.0)
-    Gf = _cu_combine(flux_y(L, g, params.h_min), flux_y(R, g, params.h_min),
-                     L, R, sm_y, sp_y)
+    Gf = cu_flux_from_values(flux_y(L, g, params.h_min), flux_y(R, g, params.h_min),
+                             L, R, sm_y, sp_y)
 
     # --- vertical transport operators -------------------------------------
     h_up = rec.up[real, :, 0]
@@ -331,8 +268,8 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     sm_z = np.minimum(np.minimum(om_int - np.abs(c_up), om_int - np.abs(c_dn)), 0.0)
     Hf = np.empty((n_y, n_z + 1, 5))
     Hf[:, [0, -1]] = 0.0
-    _cu_combine(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
-                up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
+    cu_flux_from_values(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
+                        up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
 
     # --- nonconservative products ------------------------------------------
     # weights of all five components keep the operands contiguous
@@ -370,30 +307,30 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     tmp -= Qz_cell
     tmp /= dz
     dudt -= tmp
-    S = np.zeros_like(dudt)
-    S[..., 1] = f * U_real[..., 2]
-    S[..., 2] = -f * U_real[..., 1] - g * U_real[..., 0] * z_y
-    dudt += S
+    dudt += source_s(U_real, f, z_y, g)
 
     # --- divergence-field evolution (first-order fluxes) --------------------
     v_mid = mid[..., 2] / mid[..., 0]
     ext_vz = np.concatenate([v_mid[:, :1], v_mid, v_mid[:, -1:]], axis=1)
-    v_zeta = _minmod_slope(ext_vz, dz, theta, axis=1)      # (n_y+2, n_z)
-    phi_y = v_mid * B_mid - hc_cen_all * v_zeta            # (n_y+2, n_z)
+    v_zeta = limited_slope(ext_vz, dz, theta, axis=1)      # (n_y+2, n_z)
+    phi_y = (v_mid * B_mid - hc_cen_all * v_zeta)[..., None]   # (n_y+2, n_z, 1)
+    B_1 = B_mid[..., None]
 
-    FyB = _cu_scalar(phi_y[:-1], phi_y[1:], B_mid[:-1], B_mid[1:], sm_y, sp_y)
+    FyB = cu_flux_from_values(phi_y[:-1], phi_y[1:], B_1[:-1], B_1[1:],
+                              sm_y, sp_y)[..., 0]
 
     om_cen = 0.5 * (omega[:, :-1] + omega[:, 1:])
-    om_ext = _extend_y(om_cen, grid.boundary_y, 1)
-    om_y = _minmod_slope(om_ext, dy, theta, axis=0)        # (n_y, n_z)
+    om_ext = fill_ghosts(om_cen, grid.boundary_y, 1)
+    om_y = limited_slope(om_ext, dy, theta)                # (n_y, n_z)
     B_real = solution.B
     hb_real = U_real[..., 4]
     psi = omega[:, 1:-1]
     up_val = psi * B_real[:, :-1] + hb_real[:, :-1] * om_y[:, :-1]
     dn_val = psi * B_real[:, 1:] + hb_real[:, 1:] * om_y[:, 1:]
     FzB = np.zeros((n_y, n_z + 1))
-    FzB[:, 1:-1] = _cu_scalar(up_val, dn_val, B_real[:, :-1], B_real[:, 1:],
-                              sm_z, sp_z)
+    B_1 = B_real[..., None]
+    cu_flux_from_values(up_val[..., None], dn_val[..., None], B_1[:, :-1], B_1[:, 1:],
+                        sm_z, sp_z, out=FzB[:, 1:-1, None])
 
     dbdt = -(FyB[1:] - FyB[:-1]) / dy - (FzB[:, 1:] - FzB[:, :-1]) / dz
 
@@ -418,13 +355,6 @@ def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
     out *= -grad[..., None]
     out[..., 0] = 0.0
     return out
-
-
-def _cu_scalar(f_l, f_r, q_l, q_r, sm, sp):
-    width = sp - sm
-    safe = np.where(width > 0.0, width, 1.0)
-    out = (sp * f_l - sm * f_r) / safe + (sp * sm / safe) * (q_r - q_l)
-    return np.where(width > 0.0, out, 0.0)
 
 
 def depth_average(solution: Solution2D) -> np.ndarray:
@@ -458,111 +388,28 @@ def profile_slice(solution: Solution2D, y0: float) -> tuple[int, np.ndarray, np.
     return j, grid.zeta_centers(), prim
 
 
-def cfl_dt_2d(solution: Solution2D, params: RefParams, nu: float,
-              theta: float, dt_max: float = 1.0) -> float:
-    """CFL bound min over directions of nu * dx / max speed."""
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
-    r = rhs2d(solution, params, theta)
-    dt = dt_max
-    if r.max_speed_y > 0.0:
-        dt = min(dt, nu * solution.grid.dy / r.max_speed_y)
-    if r.max_speed_z > 0.0:
-        dt = min(dt, nu * solution.grid.dzeta / r.max_speed_z)
-    return dt
-
-
-@dataclass
-class Step2DDiagnostics:
-    max_speed_y: float = 0.0
-    max_speed_z: float = 0.0
-    div_residual: float = 0.0
-
-
-def step_ssprk3_2d(solution: Solution2D, params: RefParams, dt: float,
-                   theta: float) -> tuple[Solution2D, Step2DDiagnostics]:
-    """One SSP-RK3 step of (U, B); transport operators rebuilt per stage."""
-    r1 = rhs2d(solution, params, theta)
-    return _finish_step_2d(solution, params, r1, dt, theta)
-
-
-def _finish_step_2d(solution: Solution2D, params: RefParams, r1: Rhs2DResult,
-                    dt: float, theta: float) -> tuple[Solution2D, Step2DDiagnostics]:
-    diag = Step2DDiagnostics(max_speed_y=r1.max_speed_y,
-                             max_speed_z=r1.max_speed_z,
-                             div_residual=r1.div_residual)
-
-    def stage(U, B, t):
-        r = rhs2d(Solution2D(solution.grid, U, B, t), params, theta)
-        diag.max_speed_y = max(diag.max_speed_y, r.max_speed_y)
-        diag.max_speed_z = max(diag.max_speed_z, r.max_speed_z)
-        diag.div_residual = max(diag.div_residual, r.div_residual)
-        return r
-
-    def check(U):
-        if not np.all(np.isfinite(U)):
-            raise DryStateError("non-finite state in 2-D step")
-        if np.any(U[..., 0] <= params.h_min):
-            raise DryStateError("depth at or below floor in 2-D step")
-
-    U0, B0, t0 = solution.U, solution.B, solution.time
-    U1, B1 = U0 + dt * r1.dudt, B0 + dt * r1.dbdt
-    check(U1)
-    r2 = stage(U1, B1, t0 + dt)
-    U2 = 0.75 * U0 + 0.25 * (U1 + dt * r2.dudt)
-    B2 = 0.75 * B0 + 0.25 * (B1 + dt * r2.dbdt)
-    check(U2)
-    r3 = stage(U2, B2, t0 + 0.5 * dt)
-    U3 = U0 / 3.0 + (2.0 / 3.0) * (U2 + dt * r3.dudt)
-    B3 = B0 / 3.0 + (2.0 / 3.0) * (B2 + dt * r3.dbdt)
-    check(U3)
-    return Solution2D(solution.grid, U3, B3, t0 + dt), diag
-
-
-@dataclass
-class Run2DStats:
-    n_steps: int = 0
-    max_div_residual: float = 0.0
-    wall_time: float = 0.0
-
-
 def run2d(solution: Solution2D, params: RefParams, t_final: float,
-          nu: float = 0.45, theta: float = 1.3, dt_max: float = 1.0,
-          callback: Callable[[Solution2D, Step2DDiagnostics], None] | None = None,
-          dt_controller: Callable[[Solution2D, float], float] | None = None,
-          max_steps: int = 10_000_000) -> tuple[Solution2D, Run2DStats]:
-    """March the reference solution to t_final with adaptive CFL steps.
+          nu: float = 0.45, theta: float = 1.3,
+          callback: Callable[[Solution2D, StepDiagnostics], None] | None = None,
+          ) -> tuple[Solution2D, RunStats]:
+    """March the reference solution to t_final with adaptive CFL steps
+    (``fv1d.integrate``); transport operators are rebuilt every stage."""
+    grid = solution.grid
 
-    As in the 1-D driver, the step-start evaluation provides both the CFL
-    bound and the first stage; ``dt_controller`` may shrink the step.
-    """
-    if not 0.0 < nu <= 0.5:
-        raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
-    stats = Run2DStats()
-    tic = time.perf_counter()
-    sol = solution.copy()
-    while sol.time < t_final - 1e-14 * max(1.0, t_final):
-        r1 = rhs2d(sol, params, theta)
-        dt = dt_max
-        if r1.max_speed_y > 0.0:
-            dt = min(dt, nu * sol.grid.dy / r1.max_speed_y)
-        if r1.max_speed_z > 0.0:
-            dt = min(dt, nu * sol.grid.dzeta / r1.max_speed_z)
-        if dt_controller is not None:
-            dt = dt_controller(sol, dt)
-        dt = min(dt, t_final - sol.time)
-        sol, diag = _finish_step_2d(sol, params, r1, dt, theta)
-        stats.n_steps += 1
-        stats.max_div_residual = max(stats.max_div_residual, diag.div_residual)
-        if callback is not None:
-            callback(sol, diag)
-        if stats.n_steps >= max_steps:
-            raise SolverError(f"exceeded {max_steps} steps before t={t_final}")
-    stats.wall_time = time.perf_counter() - tic
-    return sol, stats
+    def rates(state, t):
+        r = rhs2d(Solution2D(grid, *state, t), params, theta)
+        return (r.dudt, r.dbdt), StepDiagnostics((r.max_speed_y, r.max_speed_z),
+                                                 div_residual=r.div_residual)
+
+    on_step = None if callback is None else (
+        lambda state, t, diag: callback(Solution2D(grid, *state, t), diag))
+    (U, B), t, stats = integrate((solution.U, solution.B), solution.time, t_final,
+                                 rates, (grid.dy, grid.dzeta), nu,
+                                 (params.h_min, None), on_step)
+    return Solution2D(grid, U, B, t), stats
 
 
 def make_divergence_field(U: np.ndarray, grid: Grid2D, theta: float) -> np.ndarray:
     """Initial B from the limited y-slope of hb (consistent start value)."""
-    ext = _extend_y(U[..., 4:5], grid.boundary_y)
-    return _minmod_slope(ext, grid.dy, theta, axis=0)[1:-1, :, 0]
+    ext = fill_ghosts(U[..., 4:5], grid.boundary_y)
+    return limited_slope(ext, grid.dy, theta)[1:-1, :, 0]

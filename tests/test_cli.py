@@ -153,6 +153,69 @@ class TestRunCommands:
         assert err["error"] == "hyperbolicity"
 
 
+    def test_dry_state_exit_code(self, tmp_path, capsys):
+        # a shallow layer whose Coriolis-driven flow leaves the outflow
+        # edges dries out -> exit 3, naming the depth, cell and time
+        rc = cli.main(["run-moment", "ic_h=0.01", "ic_u=-5*y", "f=10",
+                       "boundary=outflow", "order=0", "n_cells=40",
+                       "final_time=1", "--out", str(tmp_path)])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "solver"
+        assert "depth" in err["message"] and "flat cell index" in err["message"]
+        assert err["message"].endswith("at t=0.225")
+
+
+#: Expressions of the CLI tests above, evaluated as Python evaluated them.
+VALID_EXPRESSIONS = ("1.0+0.1*exp(-y**2)", "0.25", "2.0", "1.0",
+                     "4.47213595*(1.0-2.0*zeta)")
+
+
+class TestExpressions:
+    @pytest.mark.parametrize("expr", VALID_EXPRESSIONS)
+    def test_same_values_as_python(self, expr):
+        y = np.linspace(-2.0, 2.0, 17)[:, None]
+        zeta = np.linspace(0.0, 1.0, 5)[None, :]
+        names = dict(cli._EXPR_NAMES, y=y, zeta=zeta)
+        want = np.broadcast_to(eval(expr, {"__builtins__": {}}, names),
+                               (17, 5))
+        got = cli._expr_field(expr, "ic_h")(y, zeta)
+        assert got.tobytes() == np.ascontiguousarray(want, dtype=float).tobytes()
+
+    def test_functions_constants_and_comparisons(self):
+        f = cli._expr_field("where(y > 0, maximum(y, pi), -abs(zeta) % 2)", "ic_u")
+        np.testing.assert_array_equal(f(np.array([-1.0, 1.0, 4.0]), 0.5),
+                                      [1.5, np.pi, 4.0])
+
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__bases__[0].__subclasses__().__len__() + 0*y",
+        "y.real",
+        "__import__('os')",
+        "sin(y, y)",
+        "exp(y=1)",
+        "[y]",
+        "'y'",
+        "open",
+    ])
+    def test_rejected(self, expr, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="ic_h"):
+            cli.parse_config("", mode="run-moment", overrides=[f"ic_h={expr}"])
+        rc = cli.main(["run-moment", f"ic_h={expr}", "n_cells=8",
+                       "final_time=0.01", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+
+    def test_overflow_is_config_error(self, tmp_path, capsys):
+        # numbers are floats, so a tower of powers overflows instead of
+        # building an unbounded integer
+        rc = cli.main(["run-moment", "ic_h=1.0", "ic_v=9**9**9", "n_cells=8",
+                       "final_time=0.01", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "ic_v" in err["message"]
+
+
 class TestScanCommand:
     def test_scan_writes_csv(self, tmp_path):
         rc = cli.main(["hyperbolicity-scan", "resolution=5",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrswm import closure, fv1d, model1d
+from mrswm.errors import DryStateError
 from mrswm.fv1d import Grid1D, Solution1D
 from mrswm.model1d import ModelParams
 
@@ -93,27 +94,56 @@ class TestReconstruct:
             fv1d.reconstruct(sol, theta=0.5)
 
 
+def cu_flux(U_l, U_r, s_minus, s_plus, params):
+    return fv1d.cu_flux_from_values(model1d.flux_g(U_l, params),
+                                    model1d.flux_g(U_r, params), U_l, U_r,
+                                    s_minus, s_plus)
+
+
 class TestCuFlux:
     def test_equal_states_recover_flux(self):
         p = make_params(0)
         U = np.array([[1.2, 0.3, -0.4, 0.2, 0.6]])
-        F = fv1d.cu_flux(U, U, np.array([-1.0]), np.array([2.0]), p)
+        F = cu_flux(U, U, np.array([-1.0]), np.array([2.0]), p)
         np.testing.assert_allclose(F, model1d.flux_g(U, p), rtol=1e-14)
 
     def test_one_sided_limits(self):
         p = make_params(0)
         U_l = np.array([[1.0, 0.1, 0.2, 0.0, 0.0]])
         U_r = np.array([[2.0, -0.3, 0.4, 0.1, 0.2]])
-        F = fv1d.cu_flux(U_l, U_r, np.array([0.0]), np.array([1.5]), p)
+        F = cu_flux(U_l, U_r, np.array([0.0]), np.array([1.5]), p)
         np.testing.assert_allclose(F, model1d.flux_g(U_l, p), rtol=1e-14)
-        F = fv1d.cu_flux(U_l, U_r, np.array([-1.5]), np.array([0.0]), p)
+        F = cu_flux(U_l, U_r, np.array([-1.5]), np.array([0.0]), p)
         np.testing.assert_allclose(F, model1d.flux_g(U_r, p), rtol=1e-14)
 
     def test_degenerate_speeds_zero_flux(self):
         p = make_params(0)
         U = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-        F = fv1d.cu_flux(U, U, np.array([0.0]), np.array([0.0]), p)
+        F = cu_flux(U, U, np.array([0.0]), np.array([0.0]), p)
         np.testing.assert_allclose(F, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-5.0, 0.0), st.floats(0.0, 5.0),
+                              st.booleans()), min_size=1, max_size=8),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_matches_formula(self, speeds, n_comp, seed):
+        # against (sp G_l - sm G_r + sp sm (U_r - U_l)) / (sp - sm), and
+        # exactly 0 where both speeds vanish; out= gives the same bits
+        rng = np.random.default_rng(seed)
+        sm = np.array([0.0 if zero else lo for lo, _, zero in speeds])
+        sp = np.array([0.0 if zero else hi for _, hi, zero in speeds])
+        G_l, G_r, U_l, U_r = rng.normal(size=(4, len(speeds), n_comp))
+        F = fv1d.cu_flux_from_values(G_l, G_r.copy(), U_l, U_r, sm, sp)
+        out = np.full_like(F, np.nan)
+        fv1d.cu_flux_from_values(G_l, G_r.copy(), U_l, U_r, sm, sp, out=out)
+        assert out.tobytes() == F.tobytes()
+        width = (sp - sm)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = (sp[:, None] * G_l - sm[:, None] * G_r
+                    + (sp * sm)[:, None] * (U_r - U_l)) / width
+        moving = (sp > sm)
+        np.testing.assert_allclose(F[moving], want[moving], rtol=1e-12, atol=1e-12)
+        assert F[~moving].tobytes() == np.zeros_like(F[~moving]).tobytes()   # +0.0
 
 
 def quadrature_cell_oracle(u_bar, slope, dy, params, n_nodes=64):
@@ -122,7 +152,7 @@ def quadrature_cell_oracle(u_bar, slope, dy, params, n_nodes=64):
     out = np.zeros_like(u_bar)
     for sk, wk in zip(s, w):
         U = u_bar + (sk - 0.5) * dy * slope
-        out += wk * dy * (model1d.noncons_q(U, params.tensors) @ slope)
+        out += wk * dy * (model1d.noncons_q(U, params) @ slope)
     return out
 
 
@@ -132,7 +162,7 @@ def quadrature_interface_oracle(U_l, U_r, params, n_nodes=64):
     jump = U_r - U_l
     out = np.zeros_like(U_l)
     for sk, wk in zip(s, w):
-        out += wk * (model1d.noncons_q(U_l + sk * jump, params.tensors) @ jump)
+        out += wk * (model1d.noncons_q(U_l + sk * jump, params) @ jump)
     return out
 
 
@@ -351,79 +381,145 @@ def iface_q_m0(U_l, U_r):
     return out
 
 
+class FirstStep(Exception):
+    pass
+
+
+def first_step(sol, p):
+    """Time after the first step of a run from ``sol``."""
+    def stop(s, d):
+        raise FirstStep(s.time)
+    with pytest.raises(FirstStep) as info:
+        fv1d.run(sol, p, t_final=1.0, nu=0.45, callback=stop)
+    return info.value.args[0]
+
+
+def bump_state(n_cells):
+    grid = Grid1D(-1.0, 1.0, n_cells)
+    y = grid.centers()
+    cells = np.zeros((n_cells, 9))
+    cells[:, 0] = 1.0 + np.exp(3.0 * np.cos(np.pi * (y + 0.5)) - 4.0)
+    cells[:, 2] = 0.25 * cells[:, 0]
+    cells[:, 4] = 1.1
+    cells[:, 8] = -0.25
+    return Solution1D(grid, cells)
+
+
+def zero_rates(state, t):
+    return tuple(np.zeros_like(u) for u in state), fv1d.StepDiagnostics((0.0,))
+
+
 class TestCfl:
     def test_magnetogravity_bound_value(self):
         p = make_params(0)
         grid = Grid1D(0.0, 0.16, 16)
         sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 1.1])
-        dt = fv1d.cfl_dt(sol, p, nu=0.45)
+        dt = first_step(sol, p)
         assert dt == pytest.approx(0.45 * grid.dy / np.sqrt(2.21), rel=1e-8)
 
     def test_dy_linearity(self):
         p = make_params(0)
         s1 = uniform_solution(Grid1D(0.0, 1.0, 50), [1.0, 0.0, 0.0, 0.0, 1.1])
         s2 = uniform_solution(Grid1D(0.0, 1.0, 100), [1.0, 0.0, 0.0, 0.0, 1.1])
-        assert fv1d.cfl_dt(s1, p, 0.45) == pytest.approx(
-            2.0 * fv1d.cfl_dt(s2, p, 0.45), rel=1e-12)
+        assert first_step(s1, p) == pytest.approx(2.0 * first_step(s2, p), rel=1e-12)
 
     def test_nu_validated(self):
         p = make_params(0)
         sol = uniform_solution(Grid1D(0.0, 1.0, 8), [1.0, 0, 0, 0, 0])
         with pytest.raises(ValueError):
-            fv1d.cfl_dt(sol, p, nu=0.6)
+            fv1d.run(sol, p, t_final=0.1, nu=0.6)
+        with pytest.raises(ValueError):
+            fv1d.integrate((sol.cells,), 0.0, 0.1, zero_rates, (1.0,), 0.0, (None,))
 
     def test_all_zero_speeds_capped(self):
-        # no physically valid state has zero speeds; exercise the cap via dt_max
-        p = make_params(0)
-        sol = uniform_solution(Grid1D(0.0, 1.0, 8), [1.0, 0, 0, 0, 0])
-        dt = fv1d.cfl_dt(sol, p, nu=0.45, dt_max=1e-4)
-        assert dt == 1e-4
+        # no physically valid state has zero speeds; the driver then steps
+        # by DT_MAX, and the last step lands on t_final
+        times = []
+        fv1d.integrate((np.ones(3),), 0.0, 2.5, zero_rates, (0.1,), 0.45, (None,),
+                       lambda u, t, d: times.append(t))
+        assert times == [fv1d.DT_MAX, 2 * fv1d.DT_MAX, 2.5]
+
+    def test_slowest_direction_sets_step(self):
+        def rates(state, t):
+            return ((np.zeros(1),) * 3,
+                    fv1d.StepDiagnostics((2.0, 0.0, 8.0)))
+        times = []
+        fv1d.integrate((np.ones(1),) * 3, 0.0, 1.0, rates, (0.1, 1e-9, 0.2), 0.5,
+                       (None,) * 3, lambda u, t, d: times.append(t))
+        assert times[0] == 0.5 * 0.2 / 8.0
 
 
 class TestTimeStepping:
     def test_zero_rhs_identity(self):
-        y = np.array([1.0, -2.0, 3.0])
-        out = fv1d.ssprk3(y, lambda v: np.zeros_like(v), 0.1)
-        np.testing.assert_allclose(out, y, rtol=1e-15)
+        state = (np.array([1.0, -2.0, 3.0]), np.array([[0.5], [4.0]]))
+        (a, b), t, stats = fv1d.integrate(state, 0.0, 0.3, zero_rates, (1.0,),
+                                          0.45, (None, None))
+        assert a.tobytes() == state[0].tobytes()
+        assert b.tobytes() == state[1].tobytes()
+        assert t == 0.3 and stats.n_steps == 1
 
     def test_third_order_on_decay(self):
-        # u' = -u to t = 1: halving dt should cut the error ~8x
+        # u' = -u to t = 1 in n steps of dt = nu dx / s = 1/n, on a tuple
+        # state of two arrays: halving dt should cut the error ~8x
         errs = []
         for n in (16, 32, 64):
-            dt = 1.0 / n
-            u = np.array([1.0])
-            for _ in range(n):
-                u = fv1d.ssprk3(u, lambda v: -v, dt)
+            def rates(state, t, n=n):
+                return (tuple(-u for u in state),
+                        fv1d.StepDiagnostics((0.5 * n,)))
+            (u, w), t, stats = fv1d.integrate((np.array([1.0]), np.array([2.0])),
+                                              0.0, 1.0, rates, (1.0,), 0.5,
+                                              (None, None))
+            assert stats.n_steps == n and t == 1.0
+            assert w[0] == 2.0 * u[0]
             errs.append(abs(u[0] - np.exp(-1.0)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 2.9)
 
+    def test_diagnostics_merged_by_max_over_stages(self):
+        seen = []
+
+        def rates(state, t):
+            seen.append(t)
+            return ((np.zeros(1),),
+                    fv1d.StepDiagnostics((1.0 + t,), max_im_ratio=t, div_residual=-t))
+        diags = []
+        fv1d.integrate((np.ones(1),), 0.0, 0.1, rates, (0.2,), 0.5, (None,),
+                       lambda u, t, d: diags.append(d))
+        assert seen == [0.0, 0.1, 0.05]     # stage times t0, t0 + dt, t0 + dt/2
+        assert diags == [fv1d.StepDiagnostics((1.1,), 0.1, 0.0)]
+
+    def test_stage_check_names_time_cell_and_quantity(self):
+        def rates(state, t):
+            k = np.zeros((4, 5))
+            k[2, 0] = -10.0        # drains the depth of cell 2
+            return (k,), fv1d.StepDiagnostics((1.0,))
+        def late_rates(state, t):
+            (k,), diag = rates(state, t)
+            return (10.0 * k * (t > 0.0),), diag   # drains at the second stage
+        state = np.ones((4, 5))
+        with pytest.raises(DryStateError, match=r"depth .* flat cell index 2 .* at t=0\.2"):
+            fv1d.integrate((state,), 0.0, 1.0, rates, (1.0,), 0.2, (1e-10,))
+        with pytest.raises(DryStateError, match=r"flat cell index 2 .* at t=0\.1$"):
+            fv1d.integrate((state,), 0.0, 1.0, late_rates, (1.0,), 0.2, (1e-10,))
+        state[1, 3] = np.nan
+        with pytest.raises(DryStateError,
+                           match="non-finite value nan in component 3 at flat cell index 1 at t=0.5"):
+            fv1d.integrate((state,), 0.0, 0.5, zero_rates, (1.0,), 0.2, (1e-10,))
+
     def test_single_step_mass_conservation(self):
         p = make_params(1)
-        grid = Grid1D(-1.0, 1.0, 64)
-        y = grid.centers()
-        cells = np.zeros((64, 9))
-        cells[:, 0] = 1.0 + np.exp(3.0 * np.cos(np.pi * (y + 0.5)) - 4.0)
-        cells[:, 2] = 0.25 * cells[:, 0]
-        cells[:, 4] = 1.1
-        cells[:, 8] = -0.25
-        sol = Solution1D(grid, cells)
-        dt = fv1d.cfl_dt(sol, p, 0.45)
-        new, _ = fv1d.step_ssprk3(sol, p, dt, theta=1.3)
-        m0 = cells[:, 0].sum() * grid.dy
-        m1 = new.cells[:, 0].sum() * grid.dy
+        sol = bump_state(64)
+        dt = 0.45 * sol.grid.dy / fv1d.rhs(sol, p, 1.3).max_speed
+        new, stats = fv1d.run(sol, p, t_final=dt, theta=1.3)
+        assert stats.n_steps == 1
+        m0 = sol.cells[:, 0].sum() * sol.grid.dy
+        m1 = new.cells[:, 0].sum() * sol.grid.dy
         assert abs(m1 - m0) <= 1e-13 * abs(m0)
 
     def test_short_run_conserves_mass_and_hb(self):
         p = make_params(1)
-        grid = Grid1D(-1.0, 1.0, 50)
-        y = grid.centers()
-        cells = np.zeros((50, 9))
-        cells[:, 0] = 1.0 + np.exp(3.0 * np.cos(np.pi * (y + 0.5)) - 4.0)
-        cells[:, 2] = 0.25 * cells[:, 0]
-        cells[:, 4] = 1.1
-        cells[:, 8] = -0.25
-        sol = Solution1D(grid, cells)
+        sol = bump_state(50)
+        grid, cells = sol.grid, sol.cells
         final, stats = fv1d.run(sol, p, t_final=0.2, nu=0.45, theta=1.3)
         m0 = cells[:, 0].sum() * grid.dy
         m1 = final.cells[:, 0].sum() * grid.dy

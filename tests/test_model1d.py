@@ -214,7 +214,7 @@ class TestCouplingMatrix:
     def test_m0_structure(self):
         p = params_for(0)
         U = np.array([2.0, 1.0, -0.6, 0.8, 1.2])
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         u, v, a, b = U[1:] / U[0]
         expected = np.zeros((5, 5))
         expected[1, 4] = -a
@@ -229,7 +229,7 @@ class TestCouplingMatrix:
         U[0] = 1.0
         U[3] = 0.5           # ha_m -> a_m = 0.5
         U[7] = 0.2           # h gamma_1 -> gamma_1 = 0.2
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         # row hu_m, column hb_m: -(a_m - gamma_1) since phi_1(1) = -1
         assert Q[1, 4] == pytest.approx(-(0.5 - 0.2), abs=1e-14)
 
@@ -237,7 +237,7 @@ class TestCouplingMatrix:
         p = params_for(2)
         U = np.zeros(13)
         U[:5] = [1.5, 0.3, -0.4, 0.6, 0.9]
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         u, v, a, b = U[1:5] / U[0]
         np.testing.assert_allclose(Q[1:5, 4], [-a, -b, -u, -v], atol=1e-14)
         # moment-row hb_m entries are Gamma-weighted sums over zero moments
@@ -250,7 +250,7 @@ class TestCouplingMatrix:
         U = random_states(rng, 1, 1)[0]
         h = U[0]
         u, v, a, b, al, be, ga, et = U[1:] / h
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         # row h alpha_1: u_m (h beta_1)_y - a_m (h eta_1)_y - 2 gamma_1 (hb_m)_y
         assert Q[5, 6] == pytest.approx(u, rel=1e-13)
         assert Q[5, 8] == pytest.approx(-a, rel=1e-13)
@@ -272,7 +272,7 @@ class TestCouplingMatrix:
         p = params_for(3)
         rng = np.random.default_rng(6)
         U = random_states(rng, 3, 1)[0]
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         cols = set(model1d.noncons_columns(3))
         for c in range(Q.shape[1]):
             if c not in cols:
@@ -312,7 +312,7 @@ class TestJacobianSpectra:
         d = rng.normal(size=U.size)
         d /= np.linalg.norm(d)
         J = model1d.jacobian(U, p)
-        Q = model1d.noncons_q(U, p.tensors)
+        Q = model1d.noncons_q(U, p)
         eps = 1e-6
         fd = (model1d.flux_g(U + eps * d, p) - model1d.flux_g(U - eps * d, p)) / (2 * eps)
         est = (J + Q) @ d
@@ -392,7 +392,7 @@ class TestReductionStructure:
             U[mag_comps] = 0.0
             G = model1d.flux_g(U, p)
             np.testing.assert_allclose(G[mag_comps], 0.0, atol=1e-15)
-            Q = model1d.noncons_q(U, p.tensors)
+            Q = model1d.noncons_q(U, p)
             dU = rng.normal(size=U.size)
             dU[mag_comps] = 0.0
             np.testing.assert_allclose((Q @ dU)[mag_comps], 0.0, atol=1e-14)

@@ -5,7 +5,8 @@ solver on vertically uniform data."""
 import numpy as np
 import pytest
 
-from mrswm import fv1d, model1d, ref2d
+from mrswm import experiments, fv1d, model1d, ref2d
+from mrswm.errors import DryStateError
 from mrswm.ref2d import Grid2D, RefParams, Solution2D
 
 
@@ -180,8 +181,10 @@ class TestEvolveB:
             B = ref2d.make_divergence_field(U, grid, 1.3)
             sol = Solution2D(grid, U, B)
             p = RefParams(g=1.0)
-            dt = ref2d.cfl_dt_2d(sol, p, 0.45, 1.3)
-            final, _ = ref2d.step_ssprk3_2d(sol, p, dt, 1.3)
+            r = ref2d.rhs2d(sol, p, 1.3)
+            dt = 0.45 * min(grid.dy / r.max_speed_y, grid.dzeta / r.max_speed_z)
+            final, stats = ref2d.run2d(sol, p, t_final=dt, theta=1.3)
+            assert stats.n_steps == 1
             slope = ref2d.make_divergence_field(final.U, grid, 1.3)
             diffs.append(np.abs(final.B - slope).max())
         ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
@@ -247,14 +250,7 @@ class TestRhs2D:
         sol1 = fv1d.Solution1D(grid1, cells)
         p1 = model1d.ModelParams(g=1.0, order=0)
 
-        t_final = 0.15
-        while sol1.time < t_final - 1e-14:
-            r1 = fv1d.rhs(sol1, p1, 1.3)
-            dt1 = 0.45 * grid1.dy / r1.max_speed
-            dt2 = ref2d.cfl_dt_2d(sol2, p2, 0.45, 1.3)
-            dt = min(dt1, dt2, t_final - sol1.time)
-            sol1, _ = fv1d.step_ssprk3(sol1, p1, dt, 1.3)
-            sol2, _ = ref2d.step_ssprk3_2d(sol2, p2, dt, 1.3)
+        sol1, sol2 = experiments.lockstep(sol1, p1, sol2, p2, 0.15, 0.45, 1.3)
 
         spread = np.abs(sol2.U - sol2.U[:, :1, :]).max()
         assert spread <= 1e-12
@@ -278,6 +274,19 @@ class TestRhs2D:
             callback=lambda s, d: residuals.append(d.div_residual))
         assert stats.max_div_residual <= 1e-12
         assert len(residuals) == stats.n_steps
+
+    def test_stage_check_names_time_cell_and_quantity(self):
+        # a shallow layer whose Coriolis-driven flow leaves the outflow
+        # edges dries in the second row from an edge
+        grid = Grid2D(-1.0, 1.0, 40, 4, boundary_y="outflow")
+        sol = uniform_solution(grid, [0.01, 0.0, 0.0, 0.0, 0.0])
+        sol.U[..., 1] = (-0.05 * grid.y_centers())[:, None]
+        p = RefParams(g=1.0, coriolis=lambda y: np.full_like(y, 10.0))
+        with pytest.raises(DryStateError,
+                           match=r"depth -1\.913e-01 at flat cell index \d+ .* at t=0\.225") as info:
+            ref2d.run2d(sol, p, t_final=1.0)
+        cell = int(str(info.value).split("flat cell index ")[1].split()[0])
+        assert cell // grid.n_zeta in (1, grid.n_y - 2)
 
 
 class TestDiagnostics:
