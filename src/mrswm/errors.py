@@ -10,7 +10,11 @@ class DryStateError(SolverError):
 
 
 class HyperbolicityError(SolverError):
-    """Eigenvalues left the real axis beyond the configured tolerance."""
+    """Eigenvalues left the real axis beyond the configured tolerance.
+
+    ``ratio`` is the worst max|Im| / max|Re|, and ``location`` where it
+    occurred: (interface index, "left" or "right") for wave speeds.
+    """
 
     def __init__(self, message: str, ratio: float | None = None,
                  location=None):

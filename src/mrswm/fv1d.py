@@ -200,7 +200,7 @@ def _cell_weights(h_bar, h_slope, chi_bar, chi_slope, dx) -> np.ndarray:
     W = chi_bar / h_bar[..., None] * dx
     if not sloped.any():
         return W
-    m = _full_mask(sloped, W.shape[-1])
+    m = _full_mask(sloped, W)
     log_ratio = np.divide(dh, h_bar - 0.5 * dh, out=None, where=sloped)
     np.log1p(log_ratio, out=log_ratio, where=sloped)
     ratio = np.divide(h_bar, h_slope, out=None, where=sloped)
@@ -223,7 +223,7 @@ def _interface_weights(h_l, h_r, chi_l, chi_r) -> np.ndarray:
     W = 0.5 * (chi_l + chi_r) / h_l[..., None]
     if not sloped.any():
         return W
-    m = _full_mask(sloped, W.shape[-1])
+    m = _full_mask(sloped, W)
     dhn = dh[..., None]
     log_ratio = np.divide(dh, h_l, out=None, where=sloped)
     np.log1p(log_ratio, out=log_ratio, where=sloped)
@@ -238,13 +238,16 @@ def _interface_weights(h_l, h_r, chi_l, chi_r) -> np.ndarray:
     return W
 
 
-def _full_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    """``mask`` repeated over a trailing axis of length n.
+def _full_mask(mask: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``mask`` repeated over the trailing axis of ``like``, in its memory order.
 
     A mask broadcast along the component axis makes each masked ufunc
-    loop run over n elements at a time; a full copy keeps the runs long.
+    loop run over a few elements at a time; a full copy laid out like the
+    operands keeps the runs long.
     """
-    return np.repeat(mask[..., None], n, axis=-1)
+    full = np.empty_like(like, dtype=bool)
+    full[...] = mask[..., None]
+    return full
 
 
 def _contract_path(W: np.ndarray, grad: np.ndarray,
@@ -356,8 +359,9 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
     StepDiagnostics of that evaluation, whose ``max_speed`` pairs with the
     mesh widths in ``spacing``.  The step-start evaluation, also the first
     stage, fixes dt = min(DT_MAX, nu dx / s over directions with s > 0),
-    cut to land on t_final.  Every stage of an array with a depth floor in
-    ``floors`` (None: no depth) goes through ``model1d.check_valid``.
+    cut to land on t_final.  The initial state and every stage of an array
+    with a depth floor in ``floors`` (None: no depth) go through
+    ``model1d.check_valid``.  Each array keeps its memory order.
     ``callback(state, t, diagnostics)`` runs after each step.
     """
     if not 0.0 < nu <= 0.5:
@@ -370,7 +374,9 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
 
     stats = RunStats()
     tic = time.perf_counter()
-    u0, t = tuple(arr.copy() for arr in state), t0
+    # np.copy keeps each array's memory order (a component-first state stays so)
+    u0, t = tuple(np.copy(arr) for arr in state), t0
+    check(u0, t)
     while t < t_final - 1e-14 * max(1.0, t_final):
         k1, diag = rhs(u0, t)
         dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)

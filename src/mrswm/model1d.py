@@ -324,27 +324,6 @@ def eigenvalues(U: np.ndarray, params: ModelParams,
                            np.linalg.eigvals(J_uu - J_ua)], axis=-1)
 
 
-def _real_spectrum(lam: np.ndarray, tol_im: float,
-                   context: str) -> tuple[np.ndarray, float]:
-    """Project eigenvalues to the real axis, policing the imaginary part.
-
-    The contamination ratio max|Im| / max|Re| is evaluated per state; a
-    ratio above ``tol_im`` means genuine loss of hyperbolicity and raises.
-    Returns the real parts and the worst ratio for logging.
-    """
-    im = np.abs(lam.imag).max(axis=-1)
-    re = np.maximum(np.abs(lam.real).max(axis=-1), 1e-14)
-    ratio = im / re
-    worst = float(ratio.max()) if ratio.size else 0.0
-    if worst > tol_im:
-        idx = int(np.argmax(ratio))
-        raise HyperbolicityError(
-            f"complex eigenvalue ratio {worst:.3e} exceeds {tol_im:.3e} "
-            f"({context}, flat state index {idx})",
-            ratio=worst, location=idx)
-    return lam.real, worst
-
-
 def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
                      params: ModelParams, tol_im: float | None = None,
                      quad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
@@ -352,19 +331,31 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
 
     s+ = max(spectrum(left), spectrum(right), 0) and s- the analogous
     minimum; eigenvalues with small imaginary parts are projected onto the
-    real axis, and the worst contamination ratio is returned for logging.
+    real axis, and the worst contamination ratio max|Im| / max|Re| over
+    the states is returned for logging.  A ratio above ``tol_im`` raises
+    HyperbolicityError, located at (interface index, "left" or "right").
     ``quad`` is the quadratic flux of the left states followed by the
     right ones, when the caller has it.
     """
     tol = params.tol_im if tol_im is None else tol_im
     stacked = np.concatenate([np.atleast_2d(U_left), np.atleast_2d(U_right)])
-    lam, ratio = _real_spectrum(eigenvalues(stacked, params, quad), tol,
-                                "interface states")
+    lam = eigenvalues(stacked, params, quad)
+    # per state max|Im| / max|Re|; above tol_im hyperbolicity is lost
+    ratios = (np.abs(lam.imag).max(axis=-1)
+              / np.maximum(np.abs(lam.real).max(axis=-1), 1e-14))
     half = stacked.shape[0] // 2
-    both = np.concatenate([lam[:half], lam[half:]], axis=-1)
+    worst = float(ratios.max()) if ratios.size else 0.0
+    if worst > tol:
+        side, iface = divmod(int(np.argmax(ratios)), half)
+        side = ("left", "right")[side]
+        raise HyperbolicityError(
+            f"complex eigenvalue ratio {worst:.3e} exceeds {tol:.3e} "
+            f"in the {side} state of interface {iface}",
+            ratio=worst, location=(iface, side))
+    both = np.concatenate([lam[:half].real, lam[half:].real], axis=-1)
     s_plus = np.maximum(both.max(axis=-1), 0.0)
     s_minus = np.minimum(both.min(axis=-1), 0.0)
-    return s_minus, s_plus, ratio
+    return s_minus, s_plus, worst
 
 
 def local_speeds(U_left: np.ndarray, U_right: np.ndarray,

@@ -86,9 +86,16 @@ class Solution2D:
     """Cell averages of (h, hu, hv, ha, hb) plus the divergence field B."""
 
     grid: Grid2D
-    U: np.ndarray            # (n_y, n_zeta, 5)
+    U: np.ndarray            # (n_y, n_zeta, 5), stored component-first
     B: np.ndarray            # (n_y, n_zeta)
     time: float = 0.0
+
+    def __post_init__(self):
+        # U is a view of a C-contiguous (5, n_y, n_zeta) buffer: component
+        # slices are contiguous, and ops broadcast over the components run
+        # along rows of n_zeta.  ufuncs keep that order through the rhs and
+        # the stages; an input in any other order is copied once.
+        self.U = np.moveaxis(np.ascontiguousarray(np.moveaxis(self.U, -1, 0)), 0, -1)
 
 
 def flux_y(U: np.ndarray, g: float, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
@@ -266,7 +273,7 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     dn = rec.down[real, 1:]
     sp_z = np.maximum(np.maximum(om_int + np.abs(c_up), om_int + np.abs(c_dn)), 0.0)
     sm_z = np.minimum(np.minimum(om_int - np.abs(c_up), om_int - np.abs(c_dn)), 0.0)
-    Hf = np.empty((n_y, n_z + 1, 5))
+    Hf = np.moveaxis(np.empty((5, n_y, n_z + 1)), 0, -1)   # the state's layout
     Hf[:, [0, -1]] = 0.0
     cu_flux_from_values(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
                         up, dn, sm_z, sp_z, out=Hf[:, 1:-1])

@@ -501,10 +501,27 @@ class TestTimeStepping:
             fv1d.integrate((state,), 0.0, 1.0, rates, (1.0,), 0.2, (1e-10,))
         with pytest.raises(DryStateError, match=r"flat cell index 2 .* at t=0\.1$"):
             fv1d.integrate((state,), 0.0, 1.0, late_rates, (1.0,), 0.2, (1e-10,))
-        state[1, 3] = np.nan
+        def nan_rates(state, t):
+            k = np.zeros((4, 5))
+            k[1, 3] = np.nan if t == 0.0 else 0.0    # poisons the first stage
+            return (k,), fv1d.StepDiagnostics((0.0,))
         with pytest.raises(DryStateError,
                            match="non-finite value nan in component 3 at flat cell index 1 at t=0.5"):
-            fv1d.integrate((state,), 0.0, 0.5, zero_rates, (1.0,), 0.2, (1e-10,))
+            fv1d.integrate((state,), 0.0, 0.5, nan_rates, (1.0,), 0.2, (1e-10,))
+
+    def test_initial_state_checked(self):
+        # a dry cell in the initial state is named before any rhs runs
+        p = make_params(1)
+        sol = bump_state(20)
+        sol.cells[10, 0] = 1e-12
+        with pytest.raises(DryStateError,
+                           match=r"depth 1\.000e-12 at flat cell index 10 .* at t=0$"):
+            fv1d.run(sol, p, t_final=0.1)
+        sol = bump_state(20)
+        sol.cells[7, 2] = np.inf
+        with pytest.raises(DryStateError,
+                           match="non-finite value inf in component 2 at flat cell index 7 at t=0$"):
+            fv1d.run(sol, p, t_final=0.1)
 
     def test_single_step_mass_conservation(self):
         p = make_params(1)

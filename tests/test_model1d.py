@@ -379,6 +379,24 @@ class TestLocalSpeeds:
                 U = random_states(rng, 1, 1, mag=2.0)[0]
                 model1d.local_speeds(U, U, p)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_hyperbolicity_error_names_interface_and_side(self, side):
+        p = params_for(1, tol_im=1e-6)
+        rng = np.random.default_rng(11)
+        candidates = random_states(rng, 1, 50, mag=2.0)
+        lam = model1d.eigenvalues(candidates, p)
+        ratio = np.abs(lam.imag).max(axis=-1) / np.abs(lam.real).max(axis=-1)
+        bad = candidates[np.argmax(ratio > 1e-3)]
+        good = np.array([1.0, 0.0, 0.2, 0.0, 1.1, 0.0, 0.0, 0.0, 0.0])
+        U_left = np.tile(good, (6, 1))
+        U_right = U_left.copy()
+        (U_left if side == "left" else U_right)[3] = bad
+        with pytest.raises(HyperbolicityError,
+                           match=f"in the {side} state of interface 3$") as info:
+            model1d.interface_speeds(U_left, U_right, p)
+        assert info.value.location == (3, side)
+        assert info.value.ratio > 1e-3
+
 
 class TestReductionStructure:
     def test_zero_magnetic_data_cannot_source_magnetic_rows(self):

@@ -15,6 +15,44 @@ def uniform_solution(grid, state):
     return Solution2D(grid, U, np.zeros((grid.n_y, grid.n_zeta)))
 
 
+def component_first(U):
+    """Whether U is a view of a C-contiguous (5, n_y, n_zeta) buffer."""
+    return np.moveaxis(U, -1, 0).flags.c_contiguous
+
+
+def in_layout(U, layout):
+    """A copy of U stored component-first ("first") or component-last ("last")."""
+    if layout == "last":
+        return np.ascontiguousarray(U)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(U, -1, 0)), 0, -1)
+
+
+def with_layout(sol, layout):
+    """A copy of ``sol`` whose U is stored in ``layout``; for "last" this
+    bypasses the conversion that ``Solution2D`` applies on construction."""
+    out = Solution2D(sol.grid, sol.U, sol.B.copy(), sol.time)
+    out.U = in_layout(sol.U, layout)
+    return out
+
+
+def varied_solution():
+    """Outflow state with Coriolis forcing, a depth step that leaves some
+    cells' depth slopes limited to zero and others sloped, and every
+    component varying in y and zeta."""
+    grid = Grid2D(-1.0, 1.0, 24, 8, boundary_y="outflow")
+    y = grid.y_centers()[:, None]
+    z = grid.zeta_centers()[None, :]
+    h = 1.0 + 0.3 * np.exp(-4.0 * y ** 2) + 0.2 * (y > 0.3)
+    U = np.empty((grid.n_y, grid.n_zeta, 5))
+    U[..., 0] = h
+    U[..., 1] = h * (0.1 * np.sin(np.pi * z) + 0.05 * y)
+    U[..., 2] = h * 0.25 * (1.0 - 2.0 * z) + 0.1 * y
+    U[..., 3] = h * 0.1 * np.cos(np.pi * y) * z
+    U[..., 4] = 1.1 - 0.25 * (1.0 - 2.0 * z) + 0.1 * np.sin(np.pi * y)
+    B = ref2d.make_divergence_field(U, grid, 1.3)
+    return Solution2D(grid, U, B), RefParams(g=1.0, coriolis=lambda y: np.ones_like(y))
+
+
 class TestFluxes:
     def test_rest_state(self):
         U = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
@@ -287,6 +325,96 @@ class TestRhs2D:
             ref2d.run2d(sol, p, t_final=1.0)
         cell = int(str(info.value).split("flat cell index ")[1].split()[0])
         assert cell // grid.n_zeta in (1, grid.n_y - 2)
+
+    def test_initial_state_checked(self):
+        # a dry cell in the initial state is named before any rhs runs
+        grid = Grid2D(-1.0, 1.0, 8, 6)
+        sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
+        sol.U[3, 2, 0] = 1e-12                  # flat cell index 3 * 6 + 2
+        with pytest.raises(DryStateError,
+                           match=r"depth 1\.000e-12 at flat cell index 20 .* at t=0$"):
+            ref2d.run2d(sol, RefParams(g=1.0), t_final=0.1)
+
+
+class TestLayout:
+    def test_solution_stores_components_first(self):
+        grid = Grid2D(-1.0, 1.0, 6, 4)
+        U = np.arange(6 * 4 * 5, dtype=float).reshape(6, 4, 5)
+        sol = Solution2D(grid, U, np.zeros((6, 4)))
+        assert sol.U.shape == (6, 4, 5) and component_first(sol.U)
+        np.testing.assert_array_equal(sol.U, U)
+        assert not np.shares_memory(sol.U, U)
+        again = Solution2D(grid, sol.U, sol.B)
+        assert component_first(again.U) and np.shares_memory(again.U, sol.U)
+
+    def test_rhs2d_equal_in_both_layouts(self):
+        sol, p = varied_solution()
+        first = ref2d.rhs2d(with_layout(sol, "first"), p, 1.3)
+        last = ref2d.rhs2d(with_layout(sol, "last"), p, 1.3)
+        # tobytes() reads in index order, whatever the memory order
+        assert first.dudt.tobytes() == last.dudt.tobytes()
+        assert first.dbdt.tobytes() == last.dbdt.tobytes()
+        assert (first.max_speed_y, first.max_speed_z, first.div_residual) == \
+            (last.max_speed_y, last.max_speed_z, last.div_residual)
+        assert np.abs(first.dudt).max() > 0.0 and np.abs(first.dbdt).max() > 0.0
+
+    def test_run2d_and_lockstep_equal_in_both_layouts(self):
+        sol, p = varied_solution()
+        finals = [ref2d.run2d(with_layout(sol, layout), p, t_final=0.02)[0]
+                  for layout in ("first", "last")]
+        for f in finals:
+            assert component_first(f.U)
+        assert finals[0].U.tobytes() == finals[1].U.tobytes()
+        assert finals[0].B.tobytes() == finals[1].B.tobytes()
+
+        grid1 = fv1d.Grid1D(-1.0, 1.0, sol.grid.n_y, boundary="outflow")
+        cells = np.zeros((grid1.n_cells, 5))
+        cells[:, 0] = sol.U[:, 0, 0]
+        cells[:, 2] = 0.2 * cells[:, 0]
+        p1 = model1d.ModelParams(g=1.0, order=0)
+        runs = [experiments.lockstep(fv1d.Solution1D(grid1, cells), p1,
+                                     with_layout(sol, layout), p, 0.02, 0.45, 1.3)
+                for layout in ("first", "last")]
+        (c0, s0), (c1, s1) = runs
+        assert c0.cells.tobytes() == c1.cells.tobytes()
+        assert s0.U.tobytes() == s1.U.tobytes() and s0.B.tobytes() == s1.B.tobytes()
+        assert s0.time == s1.time > 0.0
+
+    def test_integrate_keeps_memory_order(self):
+        first = in_layout(np.ones((6, 4, 5)), "first")
+        last = np.ones((6, 4, 5))
+        fortran = np.asfortranarray(np.ones((6, 3)))
+
+        def rates(state, t):
+            return tuple(-u for u in state), fv1d.StepDiagnostics((1.0,))
+
+        out, _, _ = fv1d.integrate((first, last, fortran), 0.0, 0.3, rates, (1.0,),
+                                   0.2, (None, None, None))
+        assert component_first(out[0])
+        assert out[1].flags.c_contiguous and out[2].flags.f_contiguous
+        assert not any(np.shares_memory(a, b) for a, b in zip(out, (first, last, fortran)))
+        np.testing.assert_allclose(out[1], np.exp(-0.3), rtol=1e-3)
+
+    def test_path_weights_equal_in_both_layouts(self):
+        rng = np.random.default_rng(5)
+        shape = (30, 12, 5)
+        U = rng.uniform(0.5, 1.5, shape)
+        S = rng.normal(size=shape)
+        S[::3, :, 0] = 0.0                     # flat cells among sloped ones
+        R = U + 0.1 * rng.normal(size=shape)
+        R[1::4, :, 0] = U[1::4, :, 0]          # flat jumps among sloped ones
+        W = {}
+        for layout in ("first", "last"):
+            u, s, r = (in_layout(a, layout) for a in (U, S, R))
+            W[layout] = (fv1d._cell_weights(u[..., 0], s[..., 0], u, s, 0.1),
+                         fv1d._interface_weights(u[..., 0], r[..., 0], u, r))
+        for a, b in zip(W["first"], W["last"]):
+            assert component_first(a) and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+        # both branches ran: the log branch differs from the flat one
+        flat_cell = U / U[..., :1] * 0.1
+        assert not np.allclose(W["last"][0], flat_cell)
+        np.testing.assert_array_equal(W["last"][0][::3], flat_cell[::3])
 
 
 class TestDiagnostics:
