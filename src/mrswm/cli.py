@@ -260,7 +260,10 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
 
 
 def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
-              max_im_ratio: float, artifacts: list[Path]) -> None:
+              max_im_ratio: float, artifacts: list[Path],
+              spec: experiments.ExperimentSpec | None = None) -> None:
+    """Write manifest.json; ``resolved`` holds the settings of the ``spec``
+    that ran, after the example's defaults (Example 1 forces theta = 1)."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -271,6 +274,9 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
         "artifacts": {str(p.relative_to(out_dir)): file_sha256(p)
                       for p in sorted(artifacts)},
     }
+    if spec is not None:
+        payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
+                               "n_zeta": spec.n_zeta, "t_final": spec.t_final}
     write_manifest(out_dir / "manifest.json", payload)
 
 
@@ -331,7 +337,7 @@ def _cmd_run_moment(cfg: RunConfig) -> int:
         experiments.write_moment_snapshot(path, sol, cfg.order)
         artifacts.append(path)
     _manifest(out, cfg, time.perf_counter() - tic,
-              {"moment": n_steps}, max_ratio, artifacts)
+              {"moment": n_steps}, max_ratio, artifacts, spec)
     return EXIT_OK
 
 
@@ -361,7 +367,7 @@ def _cmd_run_reference(cfg: RunConfig) -> int:
     write_csv(path, ["zeta", "v", "b"], [zeta, prim[:, 2], prim[:, 4]])
     artifacts.append(path)
     _manifest(out, cfg, time.perf_counter() - tic,
-              {"reference": n_steps}, 0.0, artifacts)
+              {"reference": n_steps}, 0.0, artifacts, spec)
     return EXIT_OK
 
 
@@ -376,7 +382,7 @@ def _cmd_compare(cfg: RunConfig) -> int:
     steps = {"reference": result.ref_stats.n_steps}
     steps.update({f"M{m}": s.n_steps for m, s in result.moment_stats.items()})
     _manifest(out, cfg, time.perf_counter() - tic, steps,
-              result.max_im_ratio, artifacts)
+              result.max_im_ratio, artifacts, spec)
     return EXIT_OK
 
 

@@ -15,10 +15,10 @@ through scalar weights
 
 per component k, and the vector contributions contract the coupling
 coefficient tensor against W and the gradient (slope or jump) of the
-state.  The closed forms below are the exact integrals for linear
-reconstructions; the flat-depth branch is taken when the depth variation
-across the cell (or jump) is negligible, where the logarithmic form loses
-digits to cancellation.
+state.  For linear reconstructions the weights are exact closed forms in
+the relative depth change r across the cell or jump, through the
+phi-functions phi1(r) = log1p(r)/r and phi2(r) = (1 - phi1(r))/r
+(``_phi``), which are accurate for every r > -1.
 """
 
 from __future__ import annotations
@@ -31,14 +31,10 @@ from typing import Callable
 import numpy as np
 
 from . import model1d
-from .errors import DryStateError, SolverError
+from .errors import DryStateError, HyperbolicityError, SolverError
 from .model1d import H, ModelParams
 
 logger = logging.getLogger(__name__)
-
-#: Relative depth variation below which the flat-depth path-integral
-#: branch is used (the logarithmic branch cancels catastrophically there).
-FLAT_H_TOL = 1e-9
 
 #: Step taken when every speed vanishes.
 DT_MAX = 1.0
@@ -189,65 +185,69 @@ def cu_flux_from_values(G_l, G_r, U_left, U_right, s_minus, s_plus,
     return out
 
 
+#: |r| below which ``_phi`` takes phi2 from its Taylor series
+#: sum_k (-r)^k / (k + 2), k = 0..8, whose truncation error there is below
+#: |r|^9 / 11 < 5e-17.  At and above it the closed form (1 - phi1) / r
+#: loses about eps / |r| < 1.2e-14 to cancellation.
+_PHI_SERIES_MAX = 2e-2
+_PHI2_TAYLOR = [(-1.0) ** k / (k + 2) for k in reversed(range(9))]
+
+
+def _phi(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(r) = log1p(r) / r and phi2(r) = (1 - phi1(r)) / r for r > -1.
+
+    These are int_0^1 ds / (1 + r s) and int_0^1 s ds / (1 + r s), the
+    phi-functions of exponential integrators (Higham, Functions of
+    Matrices, SIAM 2008, ch. 10), with limits 1 and 1/2 at r = 0.  Every
+    element takes the same arithmetic: the series of phi2 at r clipped to
+    the cutoff, the closed form at |r| raised to it, and a 0/1-weighted
+    blend of the two, so the cost does not depend on which elements are
+    near zero.  phi1 = 1 - r phi2 for all r.
+    """
+    cut = _PHI_SERIES_MAX
+    r_s = np.clip(r, -cut, cut)
+    phi2 = r_s * _PHI2_TAYLOR[0]
+    for coef in _PHI2_TAYLOR[1:-1]:
+        phi2 += coef
+        phi2 *= r_s
+    phi2 += _PHI2_TAYLOR[-1]
+    abs_r = np.abs(r)
+    r_c = np.copysign(np.maximum(abs_r, cut), r)
+    closed = np.log1p(r_c)
+    closed /= r_c                           # phi1 at r_c
+    np.subtract(1.0, closed, out=closed)
+    closed /= r_c                           # phi2 at r_c
+    closed -= phi2
+    closed *= abs_r >= cut                  # 0 where the series holds
+    phi2 += closed
+    return 1.0 - r * phi2, phi2
+
+
 def _cell_weights(h_bar, h_slope, chi_bar, chi_slope, dx) -> np.ndarray:
     """W_k = int_cell (chi~_k / h~) dy for linear reconstructions.
 
-    Shapes: h_bar, h_slope (...,); chi_bar, chi_slope (..., n).  The
-    logarithmic branch is evaluated only in cells whose depth is not flat.
+    Shapes: h_bar, h_slope (...,); chi_bar, chi_slope (..., n).  With the
+    south face depth h_S and r = dx h_slope / h_S, the integral is
+    dx / h_S (chi_bar phi1 + dx chi_slope (phi2 - phi1 / 2)).
     """
     dh = h_slope * dx                       # h^N - h^S
-    sloped = ~(np.abs(dh) <= FLAT_H_TOL * np.abs(h_bar))
-    W = chi_bar / h_bar[..., None] * dx
-    if not sloped.any():
-        return W
-    m = _full_mask(sloped, W)
-    log_ratio = np.divide(dh, h_bar - 0.5 * dh, out=None, where=sloped)
-    np.log1p(log_ratio, out=log_ratio, where=sloped)
-    ratio = np.divide(h_bar, h_slope, out=None, where=sloped)
-    w = np.multiply(chi_slope, ratio[..., None], out=None, where=m)
-    np.subtract(chi_bar, w, out=w, where=m)
-    np.multiply(w, log_ratio[..., None], out=w, where=m)
-    np.multiply(chi_slope, dx, out=W, where=m)
-    np.add(w, W, out=w, where=m)
-    np.divide(w, h_slope[..., None], out=W, where=m)
+    h_s = h_bar - 0.5 * dh
+    phi1, phi2 = _phi(dh / h_s)
+    scale = dx / h_s
+    W = chi_bar * (scale * phi1)[..., None]
+    W += chi_slope * (scale * dx * (phi2 - 0.5 * phi1))[..., None]
     return W
 
 
 def _interface_weights(h_l, h_r, chi_l, chi_r) -> np.ndarray:
     """W_k = int_0^1 chi_k(path) / h(path) ds along the linear path.
 
-    The logarithmic branch is evaluated only across depth jumps.
+    With r = (h_r - h_l) / h_l this is (chi_l (phi1 - phi2) + chi_r phi2) / h_l.
     """
-    dh = h_r - h_l
-    sloped = ~(np.abs(dh) <= FLAT_H_TOL * np.abs(h_l))
-    W = 0.5 * (chi_l + chi_r) / h_l[..., None]
-    if not sloped.any():
-        return W
-    m = _full_mask(sloped, W)
-    dhn = dh[..., None]
-    log_ratio = np.divide(dh, h_l, out=None, where=sloped)
-    np.log1p(log_ratio, out=log_ratio, where=sloped)
-    dchi = np.subtract(chi_r, chi_l, out=None, where=m)
-    w = np.multiply(chi_l, dhn, out=None, where=m)
-    np.multiply(h_l[..., None], dchi, out=W, where=m)
-    np.subtract(w, W, out=w, where=m)
-    np.divide(w, dhn, out=w, where=m)
-    np.multiply(w, log_ratio[..., None], out=w, where=m)
-    np.add(w, dchi, out=w, where=m)
-    np.divide(w, dhn, out=W, where=m)
+    phi1, phi2 = _phi((h_r - h_l) / h_l)
+    W = chi_l * ((phi1 - phi2) / h_l)[..., None]
+    W += chi_r * (phi2 / h_l)[..., None]
     return W
-
-
-def _full_mask(mask: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """``mask`` repeated over the trailing axis of ``like``, in its memory order.
-
-    A mask broadcast along the component axis makes each masked ufunc
-    loop run over a few elements at a time; a full copy laid out like the
-    operands keeps the runs long.
-    """
-    full = np.empty_like(like, dtype=bool)
-    full[...] = mask[..., None]
-    return full
 
 
 def _contract_path(W: np.ndarray, grad: np.ndarray,
@@ -313,8 +313,7 @@ def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
 
     y = grid.centers()
     f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)
-    z_y = np.broadcast_to(np.asarray(params.bathymetry_slope(y), dtype=float), y.shape)
-    S = model1d.source_s(solution.cells, f, z_y, params.g)
+    S = model1d.source_s(solution.cells, f)
 
     dudt = -(F[1:] - F[:-1]
              - Q_cell
@@ -362,7 +361,9 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
     cut to land on t_final.  The initial state and every stage of an array
     with a depth floor in ``floors`` (None: no depth) go through
     ``model1d.check_valid``.  Each array keeps its memory order.
-    ``callback(state, t, diagnostics)`` runs after each step.
+    A HyperbolicityError from ``rhs`` is raised again with the stage time
+    in its message and ``time``.  ``callback(state, t, diagnostics)`` runs
+    after each step.
     """
     if not 0.0 < nu <= 0.5:
         raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
@@ -372,22 +373,29 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
             if h_min is not None:
                 model1d.check_valid(arr, h_min, t)
 
+    def stage(u: State, t: float):
+        try:
+            return rhs(u, t)
+        except HyperbolicityError as exc:
+            raise HyperbolicityError(f"{exc} at t={t:.6g}", exc.ratio,
+                                     exc.location, t) from exc
+
     stats = RunStats()
     tic = time.perf_counter()
     # np.copy keeps each array's memory order (a component-first state stays so)
     u0, t = tuple(np.copy(arr) for arr in state), t0
     check(u0, t)
     while t < t_final - 1e-14 * max(1.0, t_final):
-        k1, diag = rhs(u0, t)
+        k1, diag = stage(u0, t)
         dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)
                              if s > 0.0])
         dt = min(dt, t_final - t)
         u1 = tuple(u + dt * k for u, k in zip(u0, k1))
         check(u1, t + dt)
-        k2, d2 = rhs(u1, t + dt)
+        k2, d2 = stage(u1, t + dt)
         u2 = tuple(0.75 * u + 0.25 * (v + dt * k) for u, v, k in zip(u0, u1, k2))
         check(u2, t + 0.5 * dt)
-        k3, d3 = rhs(u2, t + 0.5 * dt)
+        k3, d3 = stage(u2, t + 0.5 * dt)
         u0 = tuple(u / 3.0 + (2.0 / 3.0) * (v + dt * k) for u, v, k in zip(u0, u2, k3))
         t = t + dt
         check(u0, t)

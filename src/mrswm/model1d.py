@@ -8,7 +8,7 @@ The conservative state per cell is the length-(5 + 4M) vector
 where (u_m, v_m, a_m, b_m) are depth means of velocity and magnetic field
 and (alpha_i, beta_i) / (gamma_i, eta_i) the vertical-profile coefficients
 of velocity / magnetic field.  This module assembles the conservative
-flux G(U), the Coriolis/bathymetry source S(U), the nonconservative
+flux G(U), the Coriolis source S(U), the nonconservative
 matrix Q(U) that multiplies U_y, the analytic flux Jacobian
 J = dG/dU - Q, and one-sided local wave-speed bounds with monitoring of
 complex eigenvalue contamination.  The flux is a quadratic form in U over
@@ -60,7 +60,6 @@ class ModelParams:
     order: int
     tensors: ClosureTensors | None = None
     coriolis: Callable = _zero_fn            # f(y)
-    bathymetry_slope: Callable = _zero_fn    # Z_y(y)
     h_min: float = DEFAULT_H_MIN
     tol_im: float = DEFAULT_TOL_IM
     q_tensor: np.ndarray = field(init=False, repr=False)
@@ -184,14 +183,13 @@ def flux_tensor(tensors: ClosureTensors) -> np.ndarray:
     return C
 
 
-def source_s(U: np.ndarray, f, z_y, g: float) -> np.ndarray:
-    """Coriolis and bathymetry source; ``f`` and ``z_y`` broadcast over cells."""
+def source_s(U: np.ndarray, f) -> np.ndarray:
+    """Coriolis source; ``f`` broadcasts over cells."""
     U = np.asarray(U, dtype=float)
     f = np.asarray(f, dtype=float)
-    z_y = np.asarray(z_y, dtype=float)
     S = np.zeros_like(U)
     S[..., HU] = f * U[..., HV]
-    S[..., HV] = -f * U[..., HU] - g * U[..., H] * z_y
+    S[..., HV] = -f * U[..., HU]
     M = (U.shape[-1] - 5) // 4
     for i in range(1, M + 1):
         S[..., moment_index(i, ALPHA)] = f * U[..., moment_index(i, BETA)]
@@ -255,15 +253,6 @@ def coupling_tensor(tensors: ClosureTensors) -> np.ndarray:
                 T[rg, ce, moment_index(nn + 1, ALPHA)] += Bval
                 T[re, ce, moment_index(nn + 1, BETA)] += Bval
     return T
-
-
-def noncons_columns(order: int) -> list[int]:
-    """State components whose y-gradients appear in Q(U) U_y."""
-    cols = [HB]
-    for i in range(1, order + 1):
-        cols.append(moment_index(i, BETA))
-        cols.append(moment_index(i, ETA))
-    return cols
 
 
 def noncons_q(U: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -357,12 +346,3 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
     s_minus = np.minimum(both.min(axis=-1), 0.0)
     return s_minus, s_plus, worst
 
-
-def local_speeds(U_left: np.ndarray, U_right: np.ndarray,
-                 params: ModelParams,
-                 tol_im: float | None = None) -> tuple[float, float]:
-    """Speed bounds (s-, s+) for a single interface."""
-    sm, sp, _ = interface_speeds(np.asarray(U_left, dtype=float)[None, :],
-                                 np.asarray(U_right, dtype=float)[None, :],
-                                 params, tol_im)
-    return float(sm[0]), float(sp[0])

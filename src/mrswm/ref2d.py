@@ -73,7 +73,6 @@ class RefParams:
 
     g: float
     coriolis: Callable = _zero_fn
-    bathymetry_slope: Callable = _zero_fn
     h_min: float = DEFAULT_H_MIN
 
     def __post_init__(self):
@@ -279,16 +278,16 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                         up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
 
     # --- nonconservative products ------------------------------------------
-    # weights of all five components keep the operands contiguous
+    # weights of (hu, hv, ha, hb), a contiguous block of the component axis
     U_real = mid[real]
     sy_real = sy[real]
     sz_real = rec.slope_z[real]
     Qy_cell = _gp_rows(_cell_weights(U_real[..., 0], sy_real[..., 0],
-                                     U_real, sy_real, dy), sigma_b)
-    Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L, R),
+                                     U_real[..., 1:], sy_real[..., 1:], dy), sigma_b)
+    Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L[..., 1:], R[..., 1:]),
                      R[..., 4] - L[..., 4])
     Qz_cell = _gp_rows(_cell_weights(U_real[..., 0], sz_real[..., 0],
-                                     U_real, sz_real, dz), -sigma_b)
+                                     U_real[..., 1:], sz_real[..., 1:], dz), -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
 
     width_y = sp_y - sm_y
@@ -298,8 +297,6 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
 
     y = grid.y_centers()
     f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)[:, None]
-    z_y = np.broadcast_to(np.asarray(params.bathymetry_slope(y), dtype=float),
-                          y.shape)[:, None]
 
     # dudt = -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
     dudt = np.subtract(Gf[1:], Gf[:-1])
@@ -314,7 +311,7 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     tmp -= Qz_cell
     tmp /= dz
     dudt -= tmp
-    dudt += source_s(U_real, f, z_y, g)
+    dudt += source_s(U_real, f)
 
     # --- divergence-field evolution (first-order fluxes) --------------------
     v_mid = mid[..., 2] / mid[..., 0]
@@ -353,14 +350,17 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
 
 
 def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Godunov-Powell contributions -(a, b, u, v) * integral per row.
+    """Godunov-Powell contributions -(a, b, u, v) * integral per row,
+    stored component-first like the state.
 
-    ``W`` holds int chi/h for chi = U in its last axis and ``grad`` the
-    slope or jump of the divergence carrier.
+    ``W`` holds int chi/h for chi = (hu, hv, ha, hb) in its last axis and
+    ``grad`` the slope or jump of the divergence carrier.
     """
-    out = W[..., [0, 3, 4, 1, 2]]
-    out *= -grad[..., None]
+    out = np.moveaxis(np.empty((5,) + grad.shape), 0, -1)
     out[..., 0] = 0.0
+    neg = -grad
+    for row, k in ((1, 2), (2, 3), (3, 0), (4, 1)):    # rows hu, hv, ha, hb
+        np.multiply(W[..., k], neg, out=out[..., row])
     return out
 
 

@@ -104,6 +104,17 @@ class TestRunCommands:
         assert ma["artifacts"] == mb["artifacts"]
         assert ma["n_steps"]["moment"] > 0
 
+    def test_manifest_records_resolved_settings(self, tmp_path):
+        # Example 1 runs at theta = 1 whatever the configuration asks
+        rc = cli.main(["run-moment", "example=1", "case=linear", "order=0",
+                       "n_cells=16", "final_time=0.01", "theta=1.5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["theta"] == 1.5
+        assert manifest["resolved"] == {"theta": 1.0, "n_cells": 16,
+                                        "n_zeta": 100, "t_final": 0.01}
+
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",
                        "n_cells=16", "final_time=0.01", "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrswm import closure, fv1d, model1d
-from mrswm.errors import DryStateError
+from mrswm.errors import DryStateError, HyperbolicityError
 from mrswm.fv1d import Grid1D, Solution1D
 from mrswm.model1d import ModelParams
 
@@ -236,31 +236,31 @@ class TestPathIntegrals:
 #: Gauss-Legendre rule on [0, 1] in extended precision for the weight oracles.
 _S, _W = closure.gauss_rule(40, extended=True)
 
-#: Relative depth changes across a cell or jump: none, below, around and
-#: above the flat-branch switch FLAT_H_TOL = 1e-9, up to a factor 1.5.
+#: Series cutoff of the phi-functions behind the weights.
+_CUT = fv1d._PHI_SERIES_MAX
+
+#: Relative depth changes r across a cell (from its south face) or jump,
+#: of either sign: none, 1e-14 up to 0.9 (contractions down to r = -0.9),
+#: the band 0.5e-9..2e-9 where an earlier flat/log switch lost 2e-7, and
+#: both sides of the series cutoff.
 rel_depth_change = (st.just(0.0)
-                    | st.floats(-14.0, -0.3).map(lambda e: 10.0 ** e)
-                    | st.floats(0.5e-9, 2e-9))
+                    | st.floats(-14.0, np.log10(0.9)).map(lambda e: 10.0 ** e)
+                    | st.floats(0.5e-9, 2e-9)
+                    | st.floats(0.5 * _CUT, 2.0 * _CUT)
+                    | st.sampled_from([np.nextafter(_CUT, 0.0), _CUT]))
+signed_depth_change = st.tuples(rel_depth_change, st.sampled_from([-1.0, 1.0])).map(
+    lambda rs: rs[0] * rs[1])
 
-
-def weight_tolerance(rel, scale):
-    """Error bound of the exact weights at relative depth change ``rel``.
-
-    The flat branch drops terms of order rel; the logarithmic branch loses
-    a few eps/rel to cancellation.  Both meet near rel = FLAT_H_TOL, where
-    the bound is loosest (about 2e-6 relative).
-    """
-    bound = 1e-13 + rel + (10.0 * np.finfo(float).eps / rel if rel > 0 else 0.0)
-    return bound * scale
+#: Error bound of the weights, relative to the scale of each test.
+WEIGHT_TOL = 2e-14
 
 
 class TestPathWeights:
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.5, 2.0), rel_depth_change, st.sampled_from([-1.0, 1.0]),
-           st.floats(0.01, 0.5),
+    @given(st.floats(0.5, 2.0), signed_depth_change, st.floats(0.01, 0.5),
            st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10))
-    def test_cell_weights_match_quadrature(self, h_bar, rel, sign, dx, chi):
-        h_slope = sign * rel * h_bar / dx
+    def test_cell_weights_match_quadrature(self, h_bar, r, dx, chi):
+        h_slope = r * h_bar / (1.0 + 0.5 * r) / dx     # r = dx h_slope / h_south
         chi_bar, chi_slope = np.array(chi[:5]), np.array(chi[5:]) / dx
         W = fv1d._cell_weights(np.array([h_bar]), np.array([h_slope]),
                                chi_bar[None], chi_slope[None], dx)[0]
@@ -268,33 +268,35 @@ class TestPathWeights:
         chi_y = chi_bar + np.multiply.outer(y, chi_slope)
         ref = (_W[:, None] * chi_y / (h_bar + y * h_slope)[:, None]).sum(axis=0) * dx
         scale = (np.abs(chi_bar) + np.abs(chi_slope) * dx + 1.0) * dx / h_bar
-        assert np.all(np.abs(W - ref) <= weight_tolerance(rel, scale))
+        assert np.all(np.abs(W - ref) <= WEIGHT_TOL * scale)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.5, 2.0), rel_depth_change, st.sampled_from([-1.0, 1.0]),
+    @given(st.floats(0.5, 2.0), signed_depth_change,
            st.lists(st.floats(-5.0, 5.0), min_size=10, max_size=10))
-    def test_interface_weights_match_quadrature(self, h_l, rel, sign, chi):
-        h_r = h_l * (1.0 + sign * rel)
+    def test_interface_weights_match_quadrature(self, h_l, r, chi):
+        h_r = h_l * (1.0 + r)
         chi_l, chi_r = np.array(chi[:5]), np.array(chi[5:])
         W = fv1d._interface_weights(np.array([h_l]), np.array([h_r]),
                                     chi_l[None], chi_r[None])[0]
         chi_s = chi_l + np.multiply.outer(_S, chi_r - chi_l)
         ref = (_W[:, None] * chi_s / (h_l + _S * (h_r - h_l))[:, None]).sum(axis=0)
         scale = (np.abs(chi_l) + np.abs(chi_r) + 1.0) / min(h_l, h_r)
-        assert np.all(np.abs(W - ref) <= weight_tolerance(rel, scale))
+        assert np.all(np.abs(W - ref) <= WEIGHT_TOL * scale)
 
     def test_batched_rows_match_single_rows(self):
-        # masked evaluation: a batch mixing flat and sloped cells gives each
-        # row what that row gives alone
+        # a batch mixing flat rows, rows on both sides of the series cutoff
+        # and deep contractions gives each row what that row gives alone
         rng = np.random.default_rng(5)
-        h = rng.uniform(0.5, 2.0, 12)
-        dh = h * np.array([0.0, 1e-12, 0.3, -0.2, 5e-10, 2e-9] * 2)
-        chi = rng.normal(size=(12, 5))
-        chi2 = rng.normal(size=(12, 5))
+        r = np.array([0.0, 1e-12, 0.3, -0.2, 5e-10, 2e-9, -0.9,
+                      np.nextafter(_CUT, 0.0), _CUT, -_CUT, 0.99 * _CUT, -1.01 * _CUT])
+        h = rng.uniform(0.5, 2.0, r.size)
+        dh = h * r
+        chi = rng.normal(size=(r.size, 5))
+        chi2 = rng.normal(size=(r.size, 5))
         for fn, args in ((fv1d._cell_weights, (h, dh / 0.1, chi, chi2, 0.1)),
                          (fv1d._interface_weights, (h, h + dh, chi, chi2))):
             batch = fn(*args)
-            for i in range(12):
+            for i in range(r.size):
                 row = fn(*(a[i:i + 1] if isinstance(a, np.ndarray) else a
                            for a in args))
                 assert batch[i].tobytes() == row[0].tobytes()
@@ -508,6 +510,25 @@ class TestTimeStepping:
         with pytest.raises(DryStateError,
                            match="non-finite value nan in component 3 at flat cell index 1 at t=0.5"):
             fv1d.integrate((state,), 0.0, 0.5, nan_rates, (1.0,), 0.2, (1e-10,))
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_hyperbolicity_error_carries_stage_time(self, stage):
+        calls = []
+
+        def rates(state, t):
+            calls.append(t)
+            if len(calls) == stage:
+                raise HyperbolicityError("complex eigenvalue ratio 1.000e+00 exceeds "
+                                         "1.000e-01 in the left state of interface 3",
+                                         ratio=1.0, location=(3, "left"))
+            return (np.zeros(1),), fv1d.StepDiagnostics((1.0,))
+        t0, dt = 0.25, 0.5 * 0.2 / 1.0
+        with pytest.raises(HyperbolicityError) as info:
+            fv1d.integrate((np.ones(1),), t0, 1.0, rates, (0.2,), 0.5, (None,))
+        when = (t0, t0 + dt)[stage - 1]
+        assert info.value.time == when
+        assert str(info.value).endswith(f"interface 3 at t={when:.6g}")
+        assert info.value.ratio == 1.0 and info.value.location == (3, "left")
 
     def test_initial_state_checked(self):
         # a dry cell in the initial state is named before any rhs runs

@@ -21,6 +21,23 @@ def params_for(order, g=1.0, **kw):
     return model1d.ModelParams(g=g, order=order, **kw)
 
 
+def local_speeds(U_left, U_right, params):
+    """Speed bounds (s-, s+) for a single interface."""
+    sm, sp, _ = model1d.interface_speeds(np.asarray(U_left, dtype=float)[None, :],
+                                         np.asarray(U_right, dtype=float)[None, :],
+                                         params)
+    return float(sm[0]), float(sp[0])
+
+
+def noncons_columns(order):
+    """State components whose y-gradients appear in Q(U) U_y."""
+    cols = [model1d.HB]
+    for i in range(1, order + 1):
+        cols.append(model1d.moment_index(i, model1d.BETA))
+        cols.append(model1d.moment_index(i, model1d.ETA))
+    return cols
+
+
 def random_states(rng, order, n, mag=1.0, h_span=(0.5, 2.0)):
     U = np.zeros((n, model1d.n_vars(order)))
     U[:, 0] = rng.uniform(*h_span, size=n)
@@ -189,11 +206,11 @@ class TestFluxKernel:
 class TestSource:
     def test_zero_forcing(self):
         U = np.array([1.0, 0.3, -0.2, 0.1, 0.4])
-        np.testing.assert_allclose(model1d.source_s(U, 0.0, 0.0, 1.0), 0.0)
+        np.testing.assert_allclose(model1d.source_s(U, 0.0), 0.0)
 
     def test_mean_rows(self):
         U = np.array([1.0, 2.0, 3.0, 0.0, 0.0])
-        np.testing.assert_allclose(model1d.source_s(U, 1.0, 0.0, 1.0),
+        np.testing.assert_allclose(model1d.source_s(U, 1.0),
                                    [0.0, 3.0, -2.0, 0.0, 0.0])
 
     def test_moment_rows(self):
@@ -201,13 +218,8 @@ class TestSource:
         U[0] = 1.0
         U[5] = 7.0   # h alpha_1
         U[6] = 5.0   # h beta_1
-        S = model1d.source_s(U, 1.0, 0.0, 1.0)
+        S = model1d.source_s(U, 1.0)
         np.testing.assert_allclose(S[5:], [5.0, -7.0, 0.0, 0.0])
-
-    def test_bathymetry_term(self):
-        U = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        S = model1d.source_s(U, 0.0, 0.25, 9.81)
-        assert S[2] == pytest.approx(-9.81 * 2.0 * 0.25)
 
 
 class TestCouplingMatrix:
@@ -273,7 +285,7 @@ class TestCouplingMatrix:
         rng = np.random.default_rng(6)
         U = random_states(rng, 3, 1)[0]
         Q = model1d.noncons_q(U, p)
-        cols = set(model1d.noncons_columns(3))
+        cols = set(noncons_columns(3))
         for c in range(Q.shape[1]):
             if c not in cols:
                 np.testing.assert_allclose(Q[:, c], 0.0, atol=1e-14)
@@ -349,14 +361,14 @@ class TestLocalSpeeds:
     def test_still_water_unit_speeds(self):
         p = params_for(0)
         U = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        sm, sp_ = model1d.local_speeds(U, U, p)
+        sm, sp_ = local_speeds(U, U, p)
         assert sm == pytest.approx(-1.0, abs=1e-9)
         assert sp_ == pytest.approx(1.0, abs=1e-9)
 
     def test_magnetogravity_bound(self):
         p = params_for(0)
         U = np.array([1.0, 0.0, 0.0, 0.0, 1.1])
-        sm, sp_ = model1d.local_speeds(U, U, p)
+        sm, sp_ = local_speeds(U, U, p)
         assert sp_ == pytest.approx(np.sqrt(2.21), abs=1e-9)
         assert sm == pytest.approx(-np.sqrt(2.21), abs=1e-9)
 
@@ -377,7 +389,7 @@ class TestLocalSpeeds:
         with pytest.raises(HyperbolicityError):
             for _ in range(50):
                 U = random_states(rng, 1, 1, mag=2.0)[0]
-                model1d.local_speeds(U, U, p)
+                local_speeds(U, U, p)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_hyperbolicity_error_names_interface_and_side(self, side):
