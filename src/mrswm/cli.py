@@ -21,7 +21,7 @@ import json
 import operator
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_HYPERBOLICITY = 4
 
-MODES = ("run-moment", "run-reference", "compare", "hyperbolicity-scan", "tensors")
+RUN_MODES = ("run-moment", "run-reference", "compare")
+MODES = RUN_MODES + ("hyperbolicity-scan", "tensors")
+
+#: Domain and profile slice of runs from ic_* expressions.
+CUSTOM_Y_RANGE = (-1.0, 1.0)
+CUSTOM_PROFILE_Y0 = 0.0
 
 _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "tanh", "cosh", "sinh", "exp", "log",
@@ -110,42 +115,67 @@ class RunConfig:
             raise ConfigError(f"resolution: {self.resolution} below 2")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: {self.format!r} not csv|json")
-        if self.mode in ("run-moment", "run-reference", "compare"):
-            custom = self.ic_h is not None
-            if self.example is None and not custom:
+        if self.mode in RUN_MODES:
+            if self.example is None and self.ic_h is None:
                 raise ConfigError("example: required (or give ic_* expressions)")
+            y_min, y_max = self.y_range
+            if not y_min < y_max:
+                raise ConfigError(f"y_min: {y_min} not below y_max {y_max}")
+            if (self.ic_h is not None and self.mode != "run-moment"
+                    and not y_min <= CUSTOM_PROFILE_Y0 <= y_max):
+                raise ConfigError(f"y_min, y_max: [{y_min}, {y_max}] excludes the "
+                                  f"profile slice at y = {CUSTOM_PROFILE_Y0}")
         for key in ("ic_h", "ic_u", "ic_v", "ic_hb"):
             if getattr(self, key) is not None:
                 _expr_field(getattr(self, key), key)
         return self
 
+    @property
+    def y_range(self) -> tuple[float, float]:
+        """(y_min, y_max) with the custom domain's defaults filled in."""
+        return (CUSTOM_Y_RANGE[0] if self.y_min is None else self.y_min,
+                CUSTOM_Y_RANGE[1] if self.y_max is None else self.y_max)
 
+
+#: Field type names ("int", "float | None", "list[int]", ...).
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_NUMBER_TYPES = {"int": int, "float": float}
+
+
+def _number(kind: type, value):
+    """``value`` as ``kind``; TypeError unless it is a number (not a bool)
+    that ``kind`` represents exactly."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind(value) != value):
+        raise TypeError(f"not {kind.__name__}")
+    return kind(value)
 
 
 def _coerce(key: str, value):
-    """Parse a raw override value for the given config field."""
-    if key not in _FIELD_TYPES:
+    """Parse a raw setting, a ``key=value`` string or a JSON value, into
+    the type of its RunConfig field; malformed values are a ConfigError
+    naming the key."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"{key}: unknown configuration key")
-    if isinstance(value, str):
-        if key in ("orders", "snapshot_times"):
-            parts = [p for p in value.split(",") if p]
-            return [int(p) if key == "orders" else float(p) for p in parts]
-        if key in ("case", "mode", "boundary", "format", "out_dir") or key.startswith("ic_"):
-            return value
-        try:
+    base = kind.removesuffix(" | None")
+    try:
+        if base.startswith("list["):
+            item = _NUMBER_TYPES[base[5:-1]]
+            if isinstance(value, str):
+                value = [item(p) for p in value.split(",") if p]
+            return [_number(item, v) for v in value]
+        if isinstance(value, str) and base != "str":
             value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{key}: cannot parse {value!r}") from exc
-    if key in ("example", "order", "n_cells", "n_zeta", "resolution"):
-        if value is not None and int(value) != value:
-            raise ConfigError(f"{key}: expected integer, got {value!r}")
-        return None if value is None else int(value)
-    if key == "orders":
-        return [int(v) for v in value]
-    if key == "snapshot_times":
-        return [float(v) for v in value]
-    return value
+        if value is None and base != kind:
+            return None
+        if base == "str":
+            if not isinstance(value, str):
+                raise TypeError("not a string")
+            return value
+        return _number(_NUMBER_TYPES[base], value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{key}: expected {kind}, got {value!r} ({exc})") from exc
 
 
 def parse_config(text: str, mode: str | None = None,
@@ -227,36 +257,24 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
         u_fn = _expr_field(cfg.ic_u or "0.0", "ic_u")
         v_fn = _expr_field(cfg.ic_v or "0.0", "ic_v")
         hb_fn = _expr_field(cfg.ic_hb or "0.0", "ic_hb")
+        y_min, y_max = cfg.y_range
         spec = experiments.ExperimentSpec(
-            example=0, case="custom",
-            y_min=cfg.y_min if cfg.y_min is not None else -1.0,
-            y_max=cfg.y_max if cfg.y_max is not None else 1.0,
-            n_cells=cfg.n_cells or 200, n_zeta=cfg.n_zeta or 100,
-            t_final=cfg.final_time if cfg.final_time is not None else 1.0,
-            boundary=cfg.boundary or "periodic",
-            nu=cfg.nu, theta=cfg.theta, g=cfg.g,
-            f_const=cfg.f if cfg.f is not None else 0.0,
-            profile_y0=0.0,
+            example=0, case="custom", y_min=y_min, y_max=y_max,
+            n_cells=200, n_zeta=100, t_final=1.0, boundary="periodic",
+            nu=cfg.nu, theta=cfg.theta, g=cfg.g, f_const=0.0,
+            profile_y0=CUSTOM_PROFILE_Y0,
             height=lambda y: h_fn(y),
             u_field=u_fn,
             v_profile=lambda z: v_fn(0.0, z),
             hb_profile=lambda z: hb_fn(0.0, z))
     else:
         spec = experiments.make_spec(cfg.example, cfg.case or "constant")
-        if cfg.n_cells:
-            spec.n_cells = cfg.n_cells
-        if cfg.n_zeta:
-            spec.n_zeta = cfg.n_zeta
-        if cfg.final_time is not None:
-            spec.t_final = cfg.final_time
-        if cfg.f is not None:
-            spec.f_const = cfg.f
-        spec.nu = cfg.nu
-        spec.theta = cfg.theta if cfg.example != 1 else spec.theta
-        spec.g = cfg.g
-        if cfg.boundary:
-            spec.boundary = cfg.boundary
-    return spec
+    return replace(
+        spec, n_cells=cfg.n_cells or spec.n_cells, n_zeta=cfg.n_zeta or spec.n_zeta,
+        t_final=spec.t_final if cfg.final_time is None else cfg.final_time,
+        f_const=spec.f_const if cfg.f is None else cfg.f,
+        nu=cfg.nu, theta=spec.theta if spec.example == 1 else cfg.theta, g=cfg.g,
+        boundary=cfg.boundary or spec.boundary, tol_im=cfg.tol_im)
 
 
 def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
@@ -276,7 +294,8 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
     }
     if spec is not None:
         payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
-                               "n_zeta": spec.n_zeta, "t_final": spec.t_final}
+                               "n_zeta": spec.n_zeta, "t_final": spec.t_final,
+                               "tol_im": spec.tol_im}
     write_manifest(out_dir / "manifest.json", payload)
 
 
@@ -319,54 +338,39 @@ def _cmd_tensors(cfg: RunConfig) -> int:
 
 def _cmd_run_moment(cfg: RunConfig) -> int:
     spec = _spec_from_config(cfg)
-    out = Path(cfg.out_dir)
     tic = time.perf_counter()
     params = experiments.model_params(spec, cfg.order)
-    params.tol_im = cfg.tol_im
     sol = experiments.initial_moment_solution(spec, cfg.order)
     artifacts = []
-    snap_times = sorted(set(cfg.snapshot_times) | {spec.t_final})
     max_ratio = 0.0
     n_steps = 0
-    for t_snap in snap_times:
+    for t_snap in sorted(set(cfg.snapshot_times) | {spec.t_final}):
         if t_snap > sol.time:
             sol, stats = fv1d.run(sol, params, t_snap, nu=spec.nu, theta=spec.theta)
             max_ratio = max(max_ratio, stats.max_im_ratio)
             n_steps += stats.n_steps
-        path = experiments.moment_snapshot_path(out, spec, cfg.order, t_snap)
-        experiments.write_moment_snapshot(path, sol, cfg.order)
-        artifacts.append(path)
-    _manifest(out, cfg, time.perf_counter() - tic,
+        artifacts += experiments.write_moment_artifacts(cfg.out_dir, spec, sol,
+                                                        cfg.order, profile=False)
+    _manifest(Path(cfg.out_dir), cfg, time.perf_counter() - tic,
               {"moment": n_steps}, max_ratio, artifacts, spec)
     return EXIT_OK
 
 
 def _cmd_run_reference(cfg: RunConfig) -> int:
     spec = _spec_from_config(cfg)
-    out = Path(cfg.out_dir)
     tic = time.perf_counter()
     sol = experiments.initial_reference_solution(spec)
     params = experiments.ref_params(spec)
-    base = out / f"example{spec.example}" / spec.case / "reference"
     artifacts = []
     n_steps = 0
-    snap_times = sorted(set(cfg.snapshot_times) | {spec.t_final})
-    for t_snap in snap_times:
+    times = sorted(set(cfg.snapshot_times) | {spec.t_final})
+    for t_snap in times:
         if t_snap > sol.time:
             sol, stats = ref2d.run2d(sol, params, t_snap, nu=spec.nu, theta=spec.theta)
             n_steps += stats.n_steps
-        tag = experiments.format_time(t_snap)
-        path = base / f"snapshot_t{tag}.csv"
-        experiments.write_reference_snapshot(path, sol)
-        artifacts.append(path)
-        path = base / f"depth_averaged_t{tag}.csv"
-        experiments.write_depth_averaged(path, sol)
-        artifacts.append(path)
-    _, zeta, prim = ref2d.profile_slice(sol, spec.profile_y0)
-    path = base / f"profiles_y{spec.profile_y0:g}.csv"
-    write_csv(path, ["zeta", "v", "b"], [zeta, prim[:, 2], prim[:, 4]])
-    artifacts.append(path)
-    _manifest(out, cfg, time.perf_counter() - tic,
+        artifacts += experiments.write_reference_artifacts(
+            cfg.out_dir, spec, sol, profile=t_snap == times[-1])
+    _manifest(Path(cfg.out_dir), cfg, time.perf_counter() - tic,
               {"reference": n_steps}, 0.0, artifacts, spec)
     return EXIT_OK
 

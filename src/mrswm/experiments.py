@@ -10,13 +10,16 @@ with a sinusoidal vertical velocity profile, on a wide open domain.
 
 ``run_comparison`` runs the vertically resolved reference once, each
 requested moment order once, depth-averages the reference, and reports
-L1 errors at the final time alongside snapshot and vertical-profile CSVs.
+L1 errors at the final time.  Every run's CSV artifacts are written here,
+under ``example<id>/<case>/{reference,M<m>}/`` (``case_path``), by one
+writer per solver: ``write_reference_artifacts`` and
+``write_moment_artifacts``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -73,31 +76,17 @@ class ExperimentSpec:
     u_field: Callable                       # u(y, zeta)
     v_profile: Callable                     # v(zeta), y-independent profile
     hb_profile: Callable                    # hb(zeta), y-independent (div-free)
-    snapshot_times: tuple[float, ...] = ()
+    tol_im: float = model1d.DEFAULT_TOL_IM  # abort above this |Im|/|Re| ratio
 
     def coriolis(self, y):
         return np.full_like(np.asarray(y, dtype=float), self.f_const)
 
-    def grid1d(self, n_cells: int | None = None) -> fv1d.Grid1D:
-        return fv1d.Grid1D(self.y_min, self.y_max, n_cells or self.n_cells,
-                           self.boundary)
+    def grid1d(self) -> fv1d.Grid1D:
+        return fv1d.Grid1D(self.y_min, self.y_max, self.n_cells, self.boundary)
 
-    def grid2d(self, n_y: int | None = None,
-               n_zeta: int | None = None) -> ref2d.Grid2D:
-        return ref2d.Grid2D(self.y_min, self.y_max, n_y or self.n_cells,
-                            n_zeta or self.n_zeta, self.boundary)
-
-
-def build_example(example: int, case: str, order: int,
-                  n_cells: int | None = None, n_zeta: int | None = None,
-                  ) -> tuple[ExperimentSpec, fv1d.Solution1D, ref2d.Solution2D]:
-    """Experiment spec plus initial moment and reference states."""
-    spec = make_spec(example, case)
-    if n_cells is not None:
-        spec.n_cells = n_cells
-    if n_zeta is not None:
-        spec.n_zeta = n_zeta
-    return spec, initial_moment_solution(spec, order), initial_reference_solution(spec)
+    def grid2d(self) -> ref2d.Grid2D:
+        return ref2d.Grid2D(self.y_min, self.y_max, self.n_cells, self.n_zeta,
+                            self.boundary)
 
 
 def make_spec(example: int, case: str) -> ExperimentSpec:
@@ -147,13 +136,11 @@ def make_spec(example: int, case: str) -> ExperimentSpec:
             f_const=1.0, profile_y0=-5.0,
             height=lambda y: np.ones_like(np.asarray(y, dtype=float)),
             u_field=u_field, v_profile=_sin_profile,
-            hb_profile=lambda z, b0=b0: b0 * np.ones_like(np.asarray(z, dtype=float)),
-            snapshot_times=(5.0, 10.0))
+            hb_profile=lambda z, b0=b0: b0 * np.ones_like(np.asarray(z, dtype=float)))
     raise ValueError(f"unknown example id {example}")
 
 
-def initial_moment_solution(spec: ExperimentSpec, order: int,
-                            n_cells: int | None = None) -> fv1d.Solution1D:
+def initial_moment_solution(spec: ExperimentSpec, order: int) -> fv1d.Solution1D:
     """Midpoint-sampled conservative initial data for the moment system.
 
     Velocity moments come from projecting the pointwise v-profile (so
@@ -161,7 +148,7 @@ def initial_moment_solution(spec: ExperimentSpec, order: int,
     hb-profile directly (h*eta_i is the profile coefficient itself, which
     keeps hb_m spatially constant as the divergence constraint demands).
     """
-    grid = spec.grid1d(n_cells)
+    grid = spec.grid1d()
     y = grid.centers()
     h = spec.height(y)
     v_mean, v_mom = closure.project_profile(spec.v_profile, order)
@@ -178,9 +165,8 @@ def initial_moment_solution(spec: ExperimentSpec, order: int,
     return fv1d.Solution1D(grid, cells)
 
 
-def initial_reference_solution(spec: ExperimentSpec, n_y: int | None = None,
-                               n_zeta: int | None = None) -> ref2d.Solution2D:
-    grid = spec.grid2d(n_y, n_zeta)
+def initial_reference_solution(spec: ExperimentSpec) -> ref2d.Solution2D:
+    grid = spec.grid2d()
     y = grid.y_centers()[:, None]
     z = grid.zeta_centers()[None, :]
     h = spec.height(grid.y_centers())[:, None]
@@ -194,7 +180,8 @@ def initial_reference_solution(spec: ExperimentSpec, n_y: int | None = None,
 
 
 def model_params(spec: ExperimentSpec, order: int) -> model1d.ModelParams:
-    return model1d.ModelParams(g=spec.g, order=order, coriolis=spec.coriolis)
+    return model1d.ModelParams(g=spec.g, order=order, coriolis=spec.coriolis,
+                               tol_im=spec.tol_im)
 
 
 def ref_params(spec: ExperimentSpec) -> ref2d.RefParams:
@@ -225,61 +212,64 @@ def reference_mean_fields(solution: ref2d.Solution2D) -> dict[str, np.ndarray]:
     return dict(zip(MEAN_FIELDS, means.T))
 
 
-@dataclass
-class ErrorReport:
-    """L1 distances to the depth-averaged reference, per order and field."""
-
-    orders: list[int]
-    errors: dict[int, dict[str, float]]
-
-    def table(self) -> list[tuple[int, str, float]]:
-        return [(m, var, self.errors[m][var])
-                for m in self.orders for var in MEAN_FIELDS]
+def case_path(out_dir, spec: ExperimentSpec, name: str) -> Path:
+    """``out_dir/example<id>/<case>/<name>``, the layout of every run of
+    ``spec``: ``name`` is "reference", "M<m>" or "errors.csv"."""
+    return Path(out_dir) / f"example{spec.example}" / spec.case / name
 
 
-def moment_snapshot_path(out_dir, spec, order, t):
-    return (Path(out_dir) / f"example{spec.example}" / spec.case /
-            f"M{order}" / f"snapshot_t{format_time(t)}.csv")
+def write_reference_artifacts(out_dir, spec: ExperimentSpec,
+                              solution: ref2d.Solution2D, *,
+                              profile: bool) -> list[Path]:
+    """Write the reference snapshot and depth average at the solution's
+    time, plus the vertical v and b profile at ``spec.profile_y0`` when
+    ``profile``; returns the paths written."""
+    grid = solution.grid
+    base = case_path(out_dir, spec, "reference")
+    paths = [base / f"snapshot_t{solution.time:g}.csv",
+             base / f"depth_averaged_t{solution.time:g}.csv"]
+    h = solution.U[..., 0].reshape(-1)
+    write_csv(paths[0], ["y", "zeta", "h", "u", "v", "a", "b"],
+              [np.repeat(grid.y_centers(), grid.n_zeta),
+               np.tile(grid.zeta_centers(), grid.n_y), h]
+              + [solution.U[..., k].reshape(-1) / h for k in range(1, 5)])
+    write_csv(paths[1], ["y", *MEAN_FIELDS],
+              [grid.y_centers(), *ref2d.depth_average(solution).T])
+    if profile:
+        _, zeta, prim = ref2d.profile_slice(solution, spec.profile_y0)
+        paths.append(base / f"profiles_y{spec.profile_y0:g}.csv")
+        write_csv(paths[-1], ["zeta", "v", "b"], [zeta, prim[:, 2], prim[:, 4]])
+    return paths
 
 
-def format_time(t: float) -> str:
-    return f"{t:g}"
-
-
-def write_moment_snapshot(path, solution: fv1d.Solution1D, order: int) -> None:
+def write_moment_artifacts(out_dir, spec: ExperimentSpec,
+                           solution: fv1d.Solution1D, order: int, *,
+                           profile: bool) -> list[Path]:
+    """Write the order-``order`` snapshot at the solution's time, plus the
+    vertical v and b profile at ``spec.profile_y0`` on the reference
+    grid's zeta midpoints when ``profile``; returns the paths written."""
+    base = case_path(out_dir, spec, f"M{order}")
     header = ["y", "h", "hu_m", "hv_m", "ha_m", "hb_m"]
     for i in range(1, order + 1):
         header += [f"h_alpha_{i}", f"h_beta_{i}", f"h_gamma_{i}", f"h_eta_{i}"]
-    cols = [solution.grid.centers()] + [solution.cells[:, k]
-                                        for k in range(solution.cells.shape[1])]
-    write_csv(path, header, cols)
-
-
-def write_reference_snapshot(path, solution: ref2d.Solution2D) -> None:
-    grid = solution.grid
-    y = np.repeat(grid.y_centers(), grid.n_zeta)
-    z = np.tile(grid.zeta_centers(), grid.n_y)
-    h = solution.U[..., 0].reshape(-1)
-    prim = [solution.U[..., k].reshape(-1) / h for k in range(1, 5)]
-    write_csv(path, ["y", "zeta", "h", "u", "v", "a", "b"], [y, z, h] + prim)
-
-
-def write_depth_averaged(path, solution: ref2d.Solution2D) -> None:
-    means = ref2d.depth_average(solution)
-    write_csv(path, ["y"] + list(MEAN_FIELDS),
-              [solution.grid.y_centers()] + [means[:, k] for k in range(5)])
+    paths = [base / f"snapshot_t{solution.time:g}.csv"]
+    write_csv(paths[0], header, [solution.grid.centers(), *solution.cells.T])
+    if profile:
+        zeta = spec.grid2d().zeta_centers()
+        v_prof, b_prof = moment_profiles(solution, order, spec.profile_y0, zeta)
+        paths.append(base / f"profiles_y{spec.profile_y0:g}.csv")
+        write_csv(paths[-1], ["zeta", "v", "b"],
+                  [zeta, np.broadcast_to(v_prof, zeta.shape),
+                   np.broadcast_to(b_prof, zeta.shape)])
+    return paths
 
 
 def moment_profiles(solution: fv1d.Solution1D, order: int, y0: float,
                     zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical v and b profiles of the moment run at the column nearest y0."""
+    """Vertical v and b profiles of the moment run in the column holding y0
+    (``ref2d.column_index``)."""
     grid = solution.grid
-    pos = (y0 - grid.y_min) / grid.dy
-    j = int(np.floor(pos))
-    if pos == j and j > 0:
-        j -= 1
-    j = min(max(j, 0), grid.n_cells - 1)
-    U = solution.cells[j]
+    U = solution.cells[ref2d.column_index(grid.y_min, grid.y_max, grid.n_cells, y0)]
     h = U[model1d.H]
     v_mom = [U[model1d.moment_index(i, model1d.BETA)] / h for i in range(1, order + 1)]
     b_mom = [U[model1d.moment_index(i, model1d.ETA)] / h for i in range(1, order + 1)]
@@ -291,7 +281,7 @@ def moment_profiles(solution: fv1d.Solution1D, order: int, y0: float,
 @dataclass
 class ComparisonResult:
     spec: ExperimentSpec
-    report: ErrorReport
+    errors: dict[int, dict[str, float]]     # L1 distance per order and mean field
     reference: ref2d.Solution2D
     moment_runs: dict[int, fv1d.Solution1D]
     ref_stats: fv1d.RunStats
@@ -303,8 +293,7 @@ class ComparisonResult:
                    default=0.0)
 
 
-def run_comparison(spec: ExperimentSpec, orders: Sequence[int],
-                   out_dir=None) -> ComparisonResult:
+def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonResult:
     """Reference run + one moment run per order + L1 errors at t_final."""
     rparams = ref_params(spec)
     ref0 = initial_reference_solution(spec)
@@ -334,51 +323,22 @@ def run_comparison(spec: ExperimentSpec, orders: Sequence[int],
                      for var in MEAN_FIELDS}
         logger.info("M=%d: %s", m, {k: f"{v:.3e}" for k, v in errors[m].items()})
 
-    report = ErrorReport(orders=list(orders), errors=errors)
-    result = ComparisonResult(spec, report, reference, runs, ref_stats, stats)
-    if out_dir is not None:
-        write_comparison_outputs(result, out_dir)
-    return result
+    return ComparisonResult(spec, errors, reference, runs, ref_stats, stats)
 
 
 def write_comparison_outputs(result: ComparisonResult, out_dir) -> list[Path]:
-    """Snapshot, profile, and error CSVs under example<id>/<case>/."""
+    """Reference and per-order artifacts with profiles, and errors.csv."""
     spec = result.spec
-    base = Path(out_dir) / f"example{spec.example}" / spec.case
-    written = []
-
-    t = spec.t_final
-    ref_dir = base / "reference"
-    path = ref_dir / f"snapshot_t{format_time(t)}.csv"
-    write_reference_snapshot(path, result.reference)
-    written.append(path)
-    path = ref_dir / f"depth_averaged_t{format_time(t)}.csv"
-    write_depth_averaged(path, result.reference)
-    written.append(path)
-
-    _, zeta, prim = ref2d.profile_slice(result.reference, spec.profile_y0)
-    path = ref_dir / f"profiles_y{spec.profile_y0:g}.csv"
-    write_csv(path, ["zeta", "v", "b"], [zeta, prim[:, 2], prim[:, 4]])
-    written.append(path)
-
+    written = write_reference_artifacts(out_dir, spec, result.reference,
+                                        profile=True)
     for m, sol in result.moment_runs.items():
-        mdir = base / f"M{m}"
-        path = mdir / f"snapshot_t{format_time(t)}.csv"
-        write_moment_snapshot(path, sol, m)
-        written.append(path)
-        v_prof, b_prof = moment_profiles(sol, m, spec.profile_y0, zeta)
-        path = mdir / f"profiles_y{spec.profile_y0:g}.csv"
-        write_csv(path, ["zeta", "v", "b"],
-                  [zeta, np.broadcast_to(v_prof, zeta.shape),
-                   np.broadcast_to(b_prof, zeta.shape)])
-        written.append(path)
-
-    path = base / "errors.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
+        written += write_moment_artifacts(out_dir, spec, sol, m, profile=True)
+    path = case_path(out_dir, spec, "errors.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("M,var,l1\n")
-        for m, var, err in result.report.table():
-            fh.write(f"{m},{var},{format_float(err)}\n")
+        for m, errors in result.errors.items():
+            for var in MEAN_FIELDS:
+                fh.write(f"{m},{var},{format_float(errors[var])}\n")
     written.append(path)
     return written
 
@@ -413,10 +373,10 @@ def lockstep_cross_check(spec: ExperimentSpec, t_final: float,
     steps from zeta-independent data; returns L1 distances of the mean
     fields.  Used for cross-model consistency checks (b = 0 data keeps
     both solvers formally identical row by row)."""
-    sol1, sol2 = lockstep(initial_moment_solution(spec, 0, n_cells),
-                          model_params(spec, 0),
-                          initial_reference_solution(spec, n_cells, n_zeta),
-                          ref_params(spec), t_final, spec.nu, spec.theta)
+    spec = replace(spec, n_cells=n_cells, n_zeta=n_zeta)
+    sol1, sol2 = lockstep(initial_moment_solution(spec, 0), model_params(spec, 0),
+                          initial_reference_solution(spec), ref_params(spec),
+                          t_final, spec.nu, spec.theta)
     mean1 = moment_mean_fields(sol1)
     mean2 = reference_mean_fields(sol2)
     return {var: l1_error(mean1[var], mean2[var], sol1.grid.dy)

@@ -3,14 +3,15 @@
 Four of the nine first-order wave speeds come from a quartic in a scaled
 eigenvalue variable; the system is hyperbolic where all four roots are
 real.  ``quartic_roots`` evaluates that quartic's roots through the
-companion matrix, ``scan_region`` classifies a Cartesian grid of scaled
-states (the classifier behind the published hyperbolic-region plots), and
-``is_hyperbolic`` checks an actual moment state through the full
-numerical flux Jacobian.
+companion matrix, ``roots_are_real`` gives the verdict, and
+``scan_region`` classifies a Cartesian grid of scaled states (the
+classifier behind the published hyperbolic-region plots).
 
 The quartic lives in its own scaled coordinates (b_m, beta~, eta~) and is
-used as the region classifier; wave-speed bounds inside the solver always
-come from the Jacobian spectrum.
+used as the region classifier only.  For an actual moment state the
+verdict comes from the Jacobian spectrum, through the |Im|/|Re| policy
+of ``model1d.interface_speeds``; ``moment_state_from_scaled`` builds such
+a state from scaled coordinates.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model1d
-from .io import format_float
-from .model1d import ModelParams
+from .io import write_csv
 
 #: Imaginary tolerance for root realness: |Im| <= REAL_TOL * (1 + |Re|).
 REAL_TOL = 1e-8
@@ -71,39 +70,6 @@ def roots_are_real(roots: np.ndarray, tol: float = REAL_TOL) -> np.ndarray:
     return np.all(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots.real)), axis=-1)
 
 
-@dataclass(frozen=True)
-class HypSample:
-    """Classified point of the scaled state space."""
-
-    b_m: float
-    beta_tilde: float
-    eta_tilde: float
-    gh: float
-    hyperbolic: bool
-    max_im_ratio: float
-
-
-def classify(b_m, beta_tilde, eta_tilde, gh) -> HypSample:
-    roots = quartic_roots(b_m, beta_tilde, eta_tilde, gh)
-    ratio = float((np.abs(roots.imag) / (1.0 + np.abs(roots.real))).max())
-    return HypSample(float(b_m), float(beta_tilde), float(eta_tilde), float(gh),
-                     bool(roots_are_real(roots)), ratio)
-
-
-def is_hyperbolic(U: np.ndarray, params: ModelParams,
-                  tol_im: float | None = None) -> tuple[bool, float]:
-    """Realness verdict for an actual state via the flux Jacobian spectrum.
-
-    Returns (verdict, max |Im| / max(|Re|, floor)).
-    """
-    tol = params.tol_im if tol_im is None else tol_im
-    lam = model1d.eigenvalues(U, params)
-    im = np.abs(lam.imag).max(axis=-1)
-    re = np.maximum(np.abs(lam.real).max(axis=-1), 1e-14)
-    ratio = float(np.max(im / re))
-    return ratio <= tol, ratio
-
-
 @dataclass
 class ScanResult:
     """Verdict grid of a Cartesian sweep in the scaled coordinates."""
@@ -120,15 +86,12 @@ class ScanResult:
         return float(self.hyperbolic.mean())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("b_m,beta_tilde,eta_tilde,hyperbolic,max_im_ratio\n")
-            for i, b in enumerate(self.b_values):
-                for j, bt in enumerate(self.beta_values):
-                    for k, et in enumerate(self.eta_values):
-                        f.write(f"{format_float(b)},{format_float(bt)},"
-                                f"{format_float(et)},"
-                                f"{int(self.hyperbolic[i, j, k])},"
-                                f"{format_float(self.max_im_ratio[i, j, k])}\n")
+        """One row per sample, in C order over (b_m, beta_tilde, eta_tilde)."""
+        axes = np.meshgrid(self.b_values, self.beta_values, self.eta_values,
+                           indexing="ij")
+        write_csv(path, ["b_m", "beta_tilde", "eta_tilde", "hyperbolic", "max_im_ratio"],
+                  [a.ravel() for a in axes]
+                  + [self.hyperbolic.ravel(), self.max_im_ratio.ravel()])
 
 
 def scan_region(b_range: tuple[float, float], beta_range: tuple[float, float],

@@ -286,6 +286,7 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                                      U_real[..., 1:], sy_real[..., 1:], dy), sigma_b)
     Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L[..., 1:], R[..., 1:]),
                      R[..., 4] - L[..., 4])
+    # full weights: h is uniform in zeta only to round-off (zeta depth slopes can be nonzero)
     Qz_cell = _gp_rows(_cell_weights(U_real[..., 0], sz_real[..., 0],
                                      U_real[..., 1:], sz_real[..., 1:], dz), -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
@@ -375,20 +376,27 @@ def depth_average(solution: Solution2D) -> np.ndarray:
     return out
 
 
-def profile_slice(solution: Solution2D, y0: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Primitive vertical profile of the column nearest y0.
-
-    Ties on a cell boundary resolve to the lower-index column.  Returns
-    (column index, zeta midpoints, primitives (n_zeta, 5)).
+def column_index(y_min: float, y_max: float, n: int, y0: float) -> int:
+    """Index of the cell of a uniform n-cell mesh on [y_min, y_max] that
+    holds y0, the column both solvers' profiles are read from.  A point on
+    a cell boundary goes to the lower-index cell; ValueError off the mesh.
     """
-    grid = solution.grid
-    if not grid.y_min <= y0 <= grid.y_max:
-        raise ValueError(f"y0={y0} outside [{grid.y_min}, {grid.y_max}]")
-    pos = (y0 - grid.y_min) / grid.dy
+    if not y_min <= y0 <= y_max:
+        raise ValueError(f"y0={y0} outside [{y_min}, {y_max}]")
+    pos = (y0 - y_min) / ((y_max - y_min) / n)
     j = int(np.floor(pos))
     if pos == j and j > 0:
         j -= 1
-    j = min(j, grid.n_y - 1)
+    return min(j, n - 1)
+
+
+def profile_slice(solution: Solution2D, y0: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Primitive vertical profile of the column holding y0 (``column_index``).
+
+    Returns (column index, zeta midpoints, primitives (n_zeta, 5)).
+    """
+    grid = solution.grid
+    j = column_index(grid.y_min, grid.y_max, grid.n_y, y0)
     col = solution.U[j]
     prim = col.copy()
     prim[:, 1:] /= col[:, :1]

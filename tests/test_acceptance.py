@@ -8,6 +8,7 @@ convergence family, and the Example-3 reference run.
 
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def ex1_convergence():
     sols = {}
     for n in (100, 200, 400, 1600):
         params = ex.model_params(spec, 0)
-        s0 = ex.initial_moment_solution(spec, 0, n_cells=n)
+        s0 = ex.initial_moment_solution(replace(spec, n_cells=n), 0)
         sols[n], _ = fv1d.run(s0, params, t_final, nu=spec.nu, theta=spec.theta)
     return sols, time.perf_counter() - tic
 

@@ -8,6 +8,7 @@ import pytest
 
 from mrswm import cli
 from mrswm.errors import ConfigError
+from mrswm.io import file_sha256
 
 
 class TestParseConfig:
@@ -62,6 +63,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta"):
             cli.parse_config("", mode="tensors", overrides=["theta=2.5"])
 
+    @pytest.mark.parametrize("token", [
+        "orders=0,x", "snapshot_times=abc", 'nu="fast"', "nu=true",
+        "n_cells=2.5", "orders=[0.5]",
+    ])
+    def test_malformed_value_rejected(self, token, tmp_path, capsys):
+        key = token.partition("=")[0]
+        settings = ["example=1", "case=linear", token]
+        with pytest.raises(ConfigError, match=key):
+            cli.parse_config("", mode="compare", overrides=settings)
+        rc = cli.main(["compare", *settings, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and key in err["message"]
+
+    def test_json_values_coerced_to_field_types(self):
+        text = json.dumps({"example": 2.0, "case": "linear", "orders": [0, 1.0],
+                           "snapshot_times": [1], "final_time": 1, "n_cells": None})
+        cfg = cli.parse_config(text, mode="compare")
+        assert cfg.example == 2 and type(cfg.example) is int
+        assert cfg.orders == [0, 1] and all(type(m) is int for m in cfg.orders)
+        assert cfg.snapshot_times == [1.0] and type(cfg.snapshot_times[0]) is float
+        assert cfg.final_time == 1.0 and type(cfg.final_time) is float
+        assert cfg.n_cells is None
+        with pytest.raises(ConfigError, match="case"):
+            cli.parse_config(json.dumps({"example": 2, "case": 3}), mode="compare")
+
 
 class TestTensorsCommand:
     def test_csv_output(self, tmp_path):
@@ -113,7 +140,8 @@ class TestRunCommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["theta"] == 1.5
         assert manifest["resolved"] == {"theta": 1.0, "n_cells": 16,
-                                        "n_zeta": 100, "t_final": 0.01}
+                                        "n_zeta": 100, "t_final": 0.01,
+                                        "tol_im": 0.1}
 
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",
@@ -154,14 +182,66 @@ class TestRunCommands:
 
     def test_hyperbolicity_abort_exit_code(self, tmp_path, capsys):
         # strong mean field with a strong velocity profile sits where the
-        # Jacobian spectrum is genuinely complex -> exit 4
-        rc = cli.main(["run-moment", "ic_h=1.0", "ic_hb=2.0",
-                       "ic_v=4.47213595*(1.0-2.0*zeta)", "order=1",
-                       "n_cells=16", "final_time=0.2", "tol_im=0.001",
-                       "--out", str(tmp_path)])
-        assert rc == 4
+        # Jacobian spectrum is genuinely complex -> exit 4, in both commands
+        # that run the moment solver
+        ic = ["ic_h=1.0", "ic_hb=2.0", "ic_v=4.47213595*(1.0-2.0*zeta)",
+              "n_cells=16", "final_time=0.2", "tol_im=0.001"]
+        for argv in (["run-moment", "order=1"], ["compare", "orders=1", "n_zeta=8"]):
+            out = tmp_path / argv[0]
+            rc = cli.main(argv + ic + ["--out", str(out)])
+            assert rc == 4, argv[0]
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "hyperbolicity"
+            assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", ["run-moment", "run-reference", "compare"])
+    def test_empty_domain_rejected(self, mode, tmp_path, capsys):
+        rc = cli.main([mode, "ic_h=1.0", "y_min=1", "y_max=1", "n_cells=8",
+                       "n_zeta=4", "final_time=0.01", "--out", str(tmp_path)])
+        assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "hyperbolicity"
+        assert err["error"] == "config" and "y_min" in err["message"]
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    def test_domain_without_profile_slice_rejected_before_run(self, tmp_path, capsys):
+        # custom runs take their profile at y = 0: a domain without it is
+        # a configuration error before any step, not a failure after the run
+        domain = ["ic_h=1.0", "y_min=1", "y_max=3", "n_cells=8", "n_zeta=4",
+                  "final_time=0.01"]
+        for mode in ("run-reference", "compare"):
+            rc = cli.main([mode, *domain, "--out", str(tmp_path / mode)])
+            assert rc == 2, mode
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "config" and "y = 0" in err["message"]
+            assert not (tmp_path / mode).exists()
+        # the moment run writes no profile, so it runs there
+        rc = cli.main(["run-moment", *domain, "--out", str(tmp_path / "moment")])
+        assert rc == 0
+        assert (tmp_path / "moment" / "manifest.json").exists()
+
+    def test_one_writer_for_every_command(self, tmp_path):
+        # run-reference and compare write the same reference artifacts, and
+        # run-moment and compare the same moment snapshot, byte for byte
+        case = ["example=2", "case=linear", "n_cells=16", "n_zeta=8",
+                "final_time=0.01"]
+        runs = {"run-reference": [], "run-moment": ["order=1"],
+                "compare": ["orders=1"]}
+        for mode, extra in runs.items():
+            assert cli.main([mode, *case, *extra, "--out", str(tmp_path / mode)]) == 0
+        tree = {mode: json.loads((tmp_path / mode / "manifest.json").read_text())
+                ["artifacts"] for mode in runs}
+        reference = {k: v for k, v in tree["compare"].items() if "/reference/" in k}
+        assert sorted(reference) == [
+            "example2/linear/reference/depth_averaged_t0.01.csv",
+            "example2/linear/reference/profiles_y-0.4.csv",
+            "example2/linear/reference/snapshot_t0.01.csv"]
+        assert tree["run-reference"] == reference
+        assert tree["run-moment"] == {
+            "example2/linear/M1/snapshot_t0.01.csv":
+                tree["compare"]["example2/linear/M1/snapshot_t0.01.csv"]}
+        for mode in runs:
+            for rel, digest in tree[mode].items():
+                assert file_sha256(tmp_path / mode / rel) == digest
 
 
     def test_dry_state_exit_code(self, tmp_path, capsys):

@@ -1,15 +1,25 @@
 """Benchmark definitions, error metric, and short-horizon invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mrswm import experiments as ex
-from mrswm import fv1d, model1d
+from mrswm import fv1d, model1d, ref2d
+
+
+def build_example(example, case, order, n_cells, n_zeta):
+    """Spec of the example at the given grid sizes, with its initial
+    moment and reference states."""
+    spec = replace(ex.make_spec(example, case), n_cells=n_cells, n_zeta=n_zeta)
+    return (spec, ex.initial_moment_solution(spec, order),
+            ex.initial_reference_solution(spec))
 
 
 class TestBuildExample:
     def test_example1_height_value(self):
-        spec, sol, ref = ex.build_example(1, "constant", 0, n_cells=200, n_zeta=8)
+        spec, sol, ref = build_example(1, "constant", 0, n_cells=200, n_zeta=8)
         y = sol.grid.centers()
         j = np.argmin(np.abs(y - (-0.5 + 0.5 * sol.grid.dy)))  # midpoint sample
         expected = 1.0 + np.exp(3.0 * np.cos(np.pi * (y[j] + 0.5)) - 4.0)
@@ -20,7 +30,7 @@ class TestBuildExample:
 
     def test_example1_profile_moments(self):
         for case, idx in [("linear", 1), ("quadratic", 2), ("cubic", 3)]:
-            spec, sol, _ = ex.build_example(1, case, 3, n_cells=16, n_zeta=8)
+            spec, sol, _ = build_example(1, case, 3, n_cells=16, n_zeta=8)
             h = sol.cells[:, 0]
             np.testing.assert_allclose(sol.cells[:, 2] / h, 0.25, atol=1e-13)
             for i in range(1, 4):
@@ -31,7 +41,7 @@ class TestBuildExample:
             np.testing.assert_allclose(sol.cells[:, 4], 0.0, atol=1e-15)
 
     def test_example2_magnetic_initialization(self):
-        spec, sol, ref = ex.build_example(2, "linear", 2, n_cells=16, n_zeta=12)
+        spec, sol, ref = build_example(2, "linear", 2, n_cells=16, n_zeta=12)
         np.testing.assert_allclose(sol.cells[:, 4], 1.1, atol=1e-14)
         eta1 = sol.cells[:, model1d.moment_index(1, model1d.ETA)]
         np.testing.assert_allclose(eta1, -0.25, atol=1e-13)
@@ -41,7 +51,7 @@ class TestBuildExample:
                                    atol=1e-14)
 
     def test_example3_setup(self):
-        spec, sol, ref = ex.build_example(3, "sinusoid", 3, n_cells=64, n_zeta=8)
+        spec, sol, ref = build_example(3, "sinusoid", 3, n_cells=64, n_zeta=8)
         assert spec.f_const == 1.0
         assert (spec.y_min, spec.y_max) == (-20.0, 20.0)
         assert spec.boundary == "outflow"
@@ -136,13 +146,14 @@ class TestComparisonHarness:
         spec.n_cells = 24
         spec.n_zeta = 8
         spec.t_final = 0.05
-        result = ex.run_comparison(spec, [0, 1], out_dir=tmp_path)
+        result = ex.run_comparison(spec, [0, 1])
+        ex.write_comparison_outputs(result, tmp_path)
         base = tmp_path / "example2" / "linear"
         assert (base / "errors.csv").exists()
         assert (base / "M0" / "snapshot_t0.05.csv").exists()
         assert (base / "reference" / "profiles_y-0.4.csv").exists()
         for m in (0, 1):
-            assert result.report.errors[m]["h"] >= 0.0
+            assert result.errors[m]["h"] >= 0.0
 
     def test_comparison_deterministic(self, tmp_path):
         from mrswm.io import file_sha256
@@ -152,11 +163,33 @@ class TestComparisonHarness:
         spec.t_final = 0.02
         files = {}
         for tag in ("a", "b"):
-            ex.run_comparison(spec, [0], out_dir=tmp_path / tag)
+            ex.write_comparison_outputs(ex.run_comparison(spec, [0]), tmp_path / tag)
             root = tmp_path / tag
             files[tag] = {p.relative_to(root): file_sha256(p)
                           for p in sorted(root.rglob("*.csv"))}
         assert files["a"] == files["b"]
+
+    def test_profile_column_rule_shared(self):
+        # moment and reference profiles read the same column, a boundary
+        # point goes to the lower cell, and both reject y0 off the domain
+        spec, sol, ref = build_example(2, "constant", 0, n_cells=10, n_zeta=4)
+        zeta = ref.grid.zeta_centers()
+        sol.cells[:, model1d.HV] = np.arange(10.0) * sol.cells[:, model1d.H]
+        for y0, j in ((-1.0, 0), (-0.6, 1), (-0.55, 2), (1.0, 9)):
+            assert ref2d.profile_slice(ref, y0)[0] == j
+            v, _ = ex.moment_profiles(sol, 0, y0, zeta)
+            np.testing.assert_allclose(v - v.mean(), 0.0, atol=1e-12)
+            assert v.mean() == pytest.approx(j, abs=1e-12)
+        for y0 in (-1.5, 1.5):
+            with pytest.raises(ValueError, match="outside"):
+                ref2d.profile_slice(ref, y0)
+            with pytest.raises(ValueError, match="outside"):
+                ex.moment_profiles(sol, 0, y0, zeta)
+
+    def test_spec_tol_im_reaches_model_params(self):
+        spec = replace(ex.make_spec(2, "linear"), tol_im=1e-3)
+        assert ex.model_params(spec, 1).tol_im == 1e-3
+        assert ex.model_params(ex.make_spec(2, "linear"), 1).tol_im == 0.1
 
     def test_lockstep_cross_check_small(self):
         spec = ex.make_spec(1, "constant")
@@ -195,8 +228,7 @@ class TestGeostrophicCases:
 
     def test_example4_reference_short_run(self):
         spec = ex.make_spec(4, "sinusoid")
-        sol0 = ex.initial_reference_solution(spec, 64, 12)
-        from mrswm import ref2d
+        sol0 = ex.initial_reference_solution(replace(spec, n_cells=64, n_zeta=12))
         sol, stats = ref2d.run2d(sol0, ex.ref_params(spec), 0.3,
                                  nu=spec.nu, theta=spec.theta)
         assert np.all(np.isfinite(sol.U))

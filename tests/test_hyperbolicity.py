@@ -5,6 +5,21 @@ import pytest
 
 from mrswm import hyperbolicity as hyp
 from mrswm import model1d
+from mrswm.errors import HyperbolicityError
+
+
+def jacobian_verdict(U, params, tol_im=None):
+    """(verdict, max |Im| / max |Re|) of a state under the solver's own
+    policy, ``model1d.interface_speeds`` with the state on both sides."""
+    try:
+        _, _, ratio = model1d.interface_speeds(U, U, params, tol_im)
+    except HyperbolicityError as exc:
+        return False, exc.ratio
+    return True, ratio
+
+
+def quartic_verdict(b_m, beta_tilde, eta_tilde, gh):
+    return bool(hyp.roots_are_real(hyp.quartic_roots(b_m, beta_tilde, eta_tilde, gh)))
 
 
 class TestQuarticRoots:
@@ -45,7 +60,7 @@ class TestIsHyperbolic:
             U = np.empty(5)
             U[0] = rng.uniform(0.2, 3.0)
             U[1:] = rng.normal(size=4) * U[0]
-            ok, ratio = hyp.is_hyperbolic(U, p)
+            ok, ratio = jacobian_verdict(U, p)
             assert ok and ratio <= 1e-6
 
     def test_m1_zero_mean_field_hyperbolic(self):
@@ -56,16 +71,15 @@ class TestIsHyperbolic:
             U[0] = rng.uniform(0.2, 3.0)
             U[1:] = rng.normal(size=8) * U[0]
             U[4] = 0.0                     # b_m = 0
-            ok, ratio = hyp.is_hyperbolic(U, p, tol_im=1e-6)
+            ok, ratio = jacobian_verdict(U, p, tol_im=1e-6)
             assert ok, f"ratio {ratio} at state {U}"
 
     def test_deep_void_state_flagged(self):
         # located by the scan: strong b_m with a strong mixed profile
-        sample = hyp.classify(2.0, 2.0, 0.0, 1.0)
-        assert not sample.hyperbolic
+        assert not quartic_verdict(2.0, 2.0, 0.0, 1.0)
         p = model1d.ModelParams(g=1.0, order=1)
         U = hyp.moment_state_from_scaled(2.0, 2.0, 0.0, 1.0)
-        ok, ratio = hyp.is_hyperbolic(U, p, tol_im=1e-3)
+        ok, ratio = jacobian_verdict(U, p, tol_im=1e-3)
         assert not ok and ratio > 1e-3
 
 
@@ -90,6 +104,17 @@ class TestScan:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "b_m,beta_tilde,eta_tilde,hyperbolic,max_im_ratio"
         assert len(lines) == 1 + 27
+        # rows in C order over (b, beta, eta), carrying the grid's values
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        B, T, E = np.meshgrid(scan.b_values, scan.beta_values, scan.eta_values,
+                              indexing="ij")
+        np.testing.assert_array_equal(rows[:, 0], B.ravel())
+        np.testing.assert_array_equal(rows[:, 1], T.ravel())
+        np.testing.assert_array_equal(rows[:, 2], E.ravel())
+        np.testing.assert_array_equal(rows[:, 3], scan.hyperbolic.ravel())
+        np.testing.assert_array_equal(rows[:, 4], scan.max_im_ratio.ravel())
+        assert lines[1].startswith("-1,-2,-2,") and lines[2].startswith("-1,-2,0,")
+        assert lines[4].startswith("-1,0,-2,") and lines[10].startswith("0,-2,-2,")
 
 
 class TestAgreementAdvisory:
@@ -118,13 +143,13 @@ class TestAgreementAdvisory:
         p = model1d.ModelParams(g=1.0, order=1)
         # weak mean field: both classifiers see hyperbolic states
         for b, bt, et in [(0.1, 0.1, -0.1), (0.0, 2.0, 1.0), (-0.05, 0.0, 0.2)]:
-            assert hyp.classify(b, bt, et, 1.0).hyperbolic
+            assert quartic_verdict(b, bt, et, 1.0)
             U = hyp.moment_state_from_scaled(b, bt, et, 1.0)
-            ok, _ = hyp.is_hyperbolic(U, p, tol_im=1e-4)
+            ok, _ = jacobian_verdict(U, p, tol_im=1e-4)
             assert ok
         # deep inside the void both flag the loss
         for b, bt, et in [(2.0, 2.0, 0.0), (3.0, -3.0, 0.5)]:
-            assert not hyp.classify(b, bt, et, 1.0).hyperbolic
+            assert not quartic_verdict(b, bt, et, 1.0)
             U = hyp.moment_state_from_scaled(b, bt, et, 1.0)
-            ok, _ = hyp.is_hyperbolic(U, p, tol_im=1e-4)
+            ok, _ = jacobian_verdict(U, p, tol_im=1e-4)
             assert not ok
