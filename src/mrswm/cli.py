@@ -19,6 +19,7 @@ import argparse
 import ast
 import json
 import operator
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -118,6 +119,9 @@ class RunConfig:
         if self.mode in RUN_MODES:
             if self.example is None and self.ic_h is None:
                 raise ConfigError("example: required (or give ic_* expressions)")
+            if self.ic_h is None and (self.y_min, self.y_max) != (None, None):
+                raise ConfigError(f"y_min, y_max: example {self.example} has its own "
+                                  "domain; a domain is set only with ic_* expressions")
             y_min, y_max = self.y_range
             if not y_min < y_max:
                 raise ConfigError(f"y_min: {y_min} not below y_max {y_max}")
@@ -269,19 +273,25 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
             hb_profile=lambda z: hb_fn(0.0, z))
     else:
         spec = experiments.make_spec(cfg.example, cfg.case or "constant")
-    return replace(
+    spec = replace(
         spec, n_cells=cfg.n_cells or spec.n_cells, n_zeta=cfg.n_zeta or spec.n_zeta,
         t_final=spec.t_final if cfg.final_time is None else cfg.final_time,
         f_const=spec.f_const if cfg.f is None else cfg.f,
         nu=cfg.nu, theta=spec.theta if spec.example == 1 else cfg.theta, g=cfg.g,
         boundary=cfg.boundary or spec.boundary, tol_im=cfg.tol_im)
+    late = [t for t in cfg.snapshot_times if t > spec.t_final]
+    if late:
+        raise ConfigError(f"snapshot_times: {late} after the final time {spec.t_final}")
+    return spec
 
 
 def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
               max_im_ratio: float, artifacts: list[Path],
-              spec: experiments.ExperimentSpec | None = None) -> None:
+              spec: experiments.ExperimentSpec | None = None,
+              environment: dict | None = None) -> None:
     """Write manifest.json; ``resolved`` holds the settings of the ``spec``
-    that ran, after the example's defaults (Example 1 forces theta = 1)."""
+    that ran, after the example's defaults (Example 1 forces theta = 1),
+    and ``environment`` what the run found of its machine."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -296,6 +306,8 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
         payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
                                "n_zeta": spec.n_zeta, "t_final": spec.t_final,
                                "tol_im": spec.tol_im}
+    if environment is not None:
+        payload["environment"] = environment
     write_manifest(out_dir / "manifest.json", payload)
 
 
@@ -386,7 +398,9 @@ def _cmd_compare(cfg: RunConfig) -> int:
     steps = {"reference": result.ref_stats.n_steps}
     steps.update({f"M{m}": s.n_steps for m, s in result.moment_stats.items()})
     _manifest(out, cfg, time.perf_counter() - tic, steps,
-              result.max_im_ratio, artifacts, spec)
+              result.max_im_ratio, artifacts, spec,
+              {"usable_cpus": len(os.sched_getaffinity(0)),
+               "workers": experiments.comparison_workers(orders)})
     return EXIT_OK
 
 
@@ -434,6 +448,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(kind: str, code: int, exc: Exception, **extra) -> int:
+    """Print one JSON line naming the failure on stderr; return its exit code."""
+    print(json.dumps({"error": kind, "exit": code, "message": str(exc), **extra}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -446,20 +467,13 @@ def main(argv=None) -> int:
         if args.out:
             overrides.append(f"out_dir={args.out}")
         cfg = parse_config(text, mode=args.mode, overrides=overrides)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "exit": EXIT_CONFIG,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[cfg.mode](cfg)
+    except ConfigError as exc:
+        return _report("config", EXIT_CONFIG, exc)
     except HyperbolicityError as exc:
-        print(json.dumps({"error": "hyperbolicity", "exit": EXIT_HYPERBOLICITY,
-                          "message": str(exc), "ratio": exc.ratio}), file=sys.stderr)
-        return EXIT_HYPERBOLICITY
+        return _report("hyperbolicity", EXIT_HYPERBOLICITY, exc, ratio=exc.ratio)
     except (SolverError, ValueError) as exc:
-        print(json.dumps({"error": "solver", "exit": EXIT_SOLVER,
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_SOLVER
+        return _report("solver", EXIT_SOLVER, exc)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ carrying the matching vertical profile.  Examples 3 and 4 are
 magneto-geostrophic adjustment problems at low and high Rossby number
 with a sinusoidal vertical velocity profile, on a wide open domain.
 
-``run_comparison`` runs the vertically resolved reference once, each
-requested moment order once, depth-averages the reference, and reports
-L1 errors at the final time.  Every run's CSV artifacts are written here,
+``run_comparison`` runs the vertically resolved reference once and each
+requested moment order once, as independent jobs in forked worker
+processes, depth-averages the reference, and reports L1 errors at the
+final time.  Every run's CSV artifacts are written here,
 under ``example<id>/<case>/{reference,M<m>}/`` (``case_path``), by one
 writer per solver: ``write_reference_artifacts`` and
 ``write_moment_artifacts``.
@@ -18,7 +19,11 @@ writer per solver: ``write_reference_artifacts`` and
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -293,36 +298,88 @@ class ComparisonResult:
                    default=0.0)
 
 
-def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonResult:
-    """Reference run + one moment run per order + L1 errors at t_final."""
-    rparams = ref_params(spec)
-    ref0 = initial_reference_solution(spec)
-    logger.info("example %d (%s): reference run %dx%d to t=%g",
-                spec.example, spec.case, ref0.grid.n_y, ref0.grid.n_zeta,
-                spec.t_final)
-    reference, ref_stats = ref2d.run2d(ref0, rparams, spec.t_final,
-                                       nu=spec.nu, theta=spec.theta)
-    ref_means = reference_mean_fields(reference)
+def comparison_workers(orders: Sequence[int]) -> int:
+    """Worker processes of ``run_comparison``: one per job (the reference
+    and each distinct order), at most one per usable CPU."""
+    return min(1 + len(set(orders)), len(os.sched_getaffinity(0)))
 
-    errors: dict[int, dict[str, float]] = {}
-    runs: dict[int, fv1d.Solution1D] = {}
-    stats: dict[int, fv1d.RunStats] = {}
-    for m in orders:
-        params = model_params(spec, m)
-        sol0 = initial_moment_solution(spec, m)
+
+def _one_blas_thread() -> None:
+    """Pin numpy's bundled OpenBLAS to one thread in this process, if
+    there is one with that symbol.  The workers already fill the usable
+    CPUs; a second BLAS thread in each would spin on a busy core."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
         try:
-            sol, st = fv1d.run(sol0, params, spec.t_final,
-                               nu=spec.nu, theta=spec.theta)
-        except Exception:
-            logger.error("moment run failed at order M=%d", m)
-            raise
-        runs[m] = sol
-        stats[m] = st
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        return
+
+
+#: The spec of the comparison a worker process serves; set by
+#: ``_init_worker`` in the worker, never in the calling process.
+_worker_spec: ExperimentSpec | None = None
+
+
+def _init_worker(spec: ExperimentSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+    _one_blas_thread()
+
+
+def _solve(order: int | None):
+    """One comparison job in a worker: the reference run (``order`` None)
+    or the moment run of ``order``, from the spec's initial data."""
+    spec = _worker_spec
+    if order is None:
+        return ref2d.run2d(initial_reference_solution(spec), ref_params(spec),
+                           spec.t_final, nu=spec.nu, theta=spec.theta)
+    return fv1d.run(initial_moment_solution(spec, order), model_params(spec, order),
+                    spec.t_final, nu=spec.nu, theta=spec.theta)
+
+
+def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonResult:
+    """Reference run + one moment run per order + L1 errors at t_final.
+
+    The runs are independent jobs in a pool of ``comparison_workers``
+    processes, longest first (the reference, then the orders from the
+    highest down), each with one BLAS thread.  The pool forks: the spec
+    holds lambdas and cannot be pickled, so the workers inherit it.  A
+    failure raises the error of the first failing job in the order
+    (reference, *orders), as a serial loop would, and cancels the jobs
+    that have not started.
+    """
+    logger.info("example %d (%s): reference run %dx%d to t=%g",
+                spec.example, spec.case, spec.n_cells, spec.n_zeta, spec.t_final)
+    jobs = [None, *sorted(set(orders), reverse=True)]
+    pool = ProcessPoolExecutor(comparison_workers(orders),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(spec,))
+    try:
+        futures = {job: pool.submit(_solve, job) for job in jobs}
+        reference, ref_stats = futures[None].result()
+        runs: dict[int, fv1d.Solution1D] = {}
+        stats: dict[int, fv1d.RunStats] = {}
+        for m in orders:
+            try:
+                runs[m], stats[m] = futures[m].result()
+            except Exception:
+                logger.error("moment run failed at order M=%d", m)
+                raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+    ref_means = reference_mean_fields(reference)
+    errors: dict[int, dict[str, float]] = {}
+    for m, sol in runs.items():
         mean = moment_mean_fields(sol)
         errors[m] = {var: l1_error(mean[var], ref_means[var], sol.grid.dy)
                      for var in MEAN_FIELDS}
         logger.info("M=%d: %s", m, {k: f"{v:.3e}" for k, v in errors[m].items()})
-
     return ComparisonResult(spec, errors, reference, runs, ref_stats, stats)
 
 

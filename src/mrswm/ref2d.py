@@ -96,6 +96,11 @@ class Solution2D:
         # the stages; an input in any other order is copied once.
         self.U = np.moveaxis(np.ascontiguousarray(np.moveaxis(self.U, -1, 0)), 0, -1)
 
+    def __reduce__(self):
+        # pickle restores __dict__ without __post_init__, and numpy pickles
+        # U in C order: rebuild through the constructor to restore the layout
+        return type(self), (self.grid, self.U, self.B, self.time)
+
 
 def flux_y(U: np.ndarray, g: float, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
     """Horizontal flux G(U) of the reference system."""

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line on stderr; ``conftest.py`` repeats
 these lines in the terminal summary.  Shared long runs live in
-module-scoped fixtures: the two full Example-2 comparisons, the Example-1
+module-scoped fixtures: the two full Example-2 comparisons (each one
+``run_comparison``, as ``mrswm compare`` runs it), the Example-1
 convergence family, and the Example-3 reference run.
 """
 
@@ -28,43 +29,14 @@ def report(num, name, ok, detail):
 # shared long runs
 # --------------------------------------------------------------------------
 
-class Ex2Campaign:
-    def __init__(self, case):
-        spec = ex.make_spec(2, case)
-        self.spec = spec
-        self.div_residuals = []
-        ref0 = ex.initial_reference_solution(spec)
-        self.reference, self.ref_stats = ref2d.run2d(
-            ref0, ex.ref_params(spec), spec.t_final, nu=spec.nu,
-            theta=spec.theta,
-            callback=lambda s, d: self.div_residuals.append(d.div_residual))
-        self.ref_means = ex.reference_mean_fields(self.reference)
-        self.initial = {}
-        self.runs = {}
-        self.stats = {}
-        self.errors = {}
-        for m in (0, 1, 2, 3):
-            params = ex.model_params(spec, m)
-            s0 = ex.initial_moment_solution(spec, m)
-            self.initial[m] = s0.copy()
-            sol, st = fv1d.run(s0, params, spec.t_final,
-                               nu=spec.nu, theta=spec.theta)
-            self.runs[m] = sol
-            self.stats[m] = st
-            mean = ex.moment_mean_fields(sol)
-            self.errors[m] = {var: ex.l1_error(mean[var], self.ref_means[var],
-                                               sol.grid.dy)
-                              for var in ex.MEAN_FIELDS}
-
-
 @pytest.fixture(scope="module")
 def ex2_linear():
-    return Ex2Campaign("linear")
+    return ex.run_comparison(ex.make_spec(2, "linear"), (0, 1, 2, 3))
 
 
 @pytest.fixture(scope="module")
 def ex2_quadratic():
-    return Ex2Campaign("quadratic")
+    return ex.run_comparison(ex.make_spec(2, "quadratic"), (0, 1, 2, 3))
 
 
 @pytest.fixture(scope="module")
@@ -181,11 +153,12 @@ def test_criterion_2_eigenvalue_oracles():
 
 def test_criterion_3_conservation_and_constraint(ex2_linear):
     c = ex2_linear
-    m0 = c.initial[3].cells[:, 0].sum() * c.initial[3].grid.dy
-    m1 = c.runs[3].cells[:, 0].sum() * c.runs[3].grid.dy
+    initial = ex.initial_moment_solution(c.spec, 3)
+    m0 = initial.cells[:, 0].sum() * initial.grid.dy
+    m1 = c.moment_runs[3].cells[:, 0].sum() * c.moment_runs[3].grid.dy
     drift = abs(m1 - m0) / abs(m0)
-    hb_dev = np.abs(c.runs[3].cells[:, 4] - 1.1).max()
-    wall = c.stats[3].wall_time
+    hb_dev = np.abs(c.moment_runs[3].cells[:, 4] - 1.1).max()
+    wall = c.moment_stats[3].wall_time
     ok = drift <= 1e-11 and hb_dev <= 1e-12 and wall < 60.0
     report(3, "conservation and constraint", ok,
            f"mass drift {drift:.2e}, hb_m dev {hb_dev:.2e}, M=3 run {wall:.0f}s")
@@ -193,8 +166,8 @@ def test_criterion_3_conservation_and_constraint(ex2_linear):
 
 def test_criterion_4_reduction_identities(ex2_quadratic):
     c = ex2_quadratic
-    d01 = np.abs(c.runs[1].cells[:, :5] - c.runs[0].cells).max()
-    d23 = np.abs(c.runs[3].cells[:, :13] - c.runs[2].cells).max()
+    d01 = np.abs(c.moment_runs[1].cells[:, :5] - c.moment_runs[0].cells).max()
+    d23 = np.abs(c.moment_runs[3].cells[:, :13] - c.moment_runs[2].cells).max()
     ok = d01 <= 1e-12 and d23 <= 1e-12
     report(4, "reduction identities", ok,
            f"|M1-M0| {d01:.2e}, |M3-M2| {d23:.2e} at t=1.5")
@@ -209,7 +182,7 @@ def test_criterion_5_error_hierarchy(ex2_linear, ex2_quadratic):
     eq23 = max(abs(quad[3][var] - quad[2][var]) for var in ("h", "v_m", "b_m"))
     drop = min(quad[0][var] / quad[2][var] for var in ("h", "v_m", "b_m"))
     wall = (ex2_linear.ref_stats.wall_time
-            + sum(s.wall_time for s in ex2_linear.stats.values()))
+            + sum(s.wall_time for s in ex2_linear.moment_stats.values()))
     ok = (decreasing and eq01 <= 1e-12 and eq23 <= 1e-12 and drop >= 3.0
           and wall < 1800.0)
     lin_h = [f"{lin[m]['h']:.3e}" for m in range(4)]
@@ -236,10 +209,10 @@ def test_criterion_6_convergence_order(ex1_convergence):
 
 def test_criterion_7_reference_divergence(ex2_linear):
     c = ex2_linear
-    worst = max(c.div_residuals)
+    worst = c.ref_stats.max_div_residual
     ok = worst <= 1e-12
     report(7, "reference divergence-free", ok,
-           f"max normalized residual {worst:.2e} over {len(c.div_residuals)} steps")
+           f"max normalized residual {worst:.2e} over {c.ref_stats.n_steps} steps")
 
 
 def test_criterion_8_cross_model_consistency():

@@ -1,6 +1,7 @@
 """Configuration validation, CLI subcommands, exit codes, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,10 @@ class TestRunCommands:
         lines = errors.split("\n")
         assert lines[0] == "M,var,l1"
         assert len(lines) == 1 + 2 * 5   # two orders, five mean fields
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cpus = len(os.sched_getaffinity(0))
+        assert manifest["environment"] == {"usable_cpus": cpus,
+                                           "workers": min(3, cpus)}
 
     def test_custom_initial_conditions(self, tmp_path):
         rc = cli.main(["run-moment", "ic_h=1.0+0.1*exp(-y**2)", "ic_v=0.25",
@@ -190,9 +195,34 @@ class TestRunCommands:
             out = tmp_path / argv[0]
             rc = cli.main(argv + ic + ["--out", str(out)])
             assert rc == 4, argv[0]
-            err = json.loads(capsys.readouterr().err.strip())
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, argv[0]    # one JSON line, workers or not
+            err = json.loads(lines[0])
             assert err["error"] == "hyperbolicity"
+            assert err["ratio"] > 1e-3, argv[0]
             assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", ["run-moment", "run-reference", "compare"])
+    def test_example_domain_rejected(self, mode, tmp_path, capsys):
+        # an example runs on its own domain: y_min/y_max were ignored before
+        rc = cli.main([mode, "example=2", "case=linear", "n_cells=16", "n_zeta=4",
+                       "y_min=-3", "y_max=3", "final_time=0.01",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "y_min" in err["message"]
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mode", ["run-moment", "run-reference"])
+    def test_snapshot_after_final_time_rejected(self, mode, tmp_path, capsys):
+        # a later snapshot used to extend the run past the resolved t_final
+        rc = cli.main([mode, "example=2", "case=linear", "n_cells=16", "n_zeta=4",
+                       "snapshot_times=0.005,0.05", "final_time=0.01",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "snapshot_times" in err["message"]
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("mode", ["run-moment", "run-reference", "compare"])
     def test_empty_domain_rejected(self, mode, tmp_path, capsys):

@@ -1,12 +1,29 @@
 """Benchmark definitions, error metric, and short-horizon invariants."""
 
+import ctypes
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mrswm import experiments as ex
+from mrswm import cli, experiments as ex
 from mrswm import fv1d, model1d, ref2d
+from mrswm.errors import HyperbolicityError
+
+
+def blas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None if unreadable."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return None
 
 
 def build_example(example, case, order, n_cells, n_zeta):
@@ -168,6 +185,62 @@ class TestComparisonHarness:
             files[tag] = {p.relative_to(root): file_sha256(p)
                           for p in sorted(root.rglob("*.csv"))}
         assert files["a"] == files["b"]
+
+    def test_pool_matches_serial_runs(self):
+        # the worker pool returns exactly what the solvers return in-process
+        spec = replace(ex.make_spec(2, "linear"), n_cells=32, n_zeta=8, t_final=0.05)
+        result = ex.run_comparison(spec, [0, 1, 2, 3])
+        reference, ref_stats = ref2d.run2d(ex.initial_reference_solution(spec),
+                                           ex.ref_params(spec), spec.t_final,
+                                           nu=spec.nu, theta=spec.theta)
+        assert np.moveaxis(result.reference.U, -1, 0).flags.c_contiguous
+        np.testing.assert_array_equal(result.reference.U, reference.U)
+        np.testing.assert_array_equal(result.reference.B, reference.B)
+        assert result.reference.time == reference.time
+        assert result.ref_stats.n_steps == ref_stats.n_steps
+        ref_means = ex.reference_mean_fields(reference)
+        assert list(result.errors) == list(result.moment_runs) == [0, 1, 2, 3]
+        for m in range(4):
+            sol, stats = fv1d.run(ex.initial_moment_solution(spec, m),
+                                  ex.model_params(spec, m), spec.t_final,
+                                  nu=spec.nu, theta=spec.theta)
+            np.testing.assert_array_equal(result.moment_runs[m].cells, sol.cells)
+            assert result.moment_runs[m].time == sol.time
+            assert result.moment_stats[m].n_steps == stats.n_steps
+            mean = ex.moment_mean_fields(sol)
+            assert result.errors[m] == {
+                var: ex.l1_error(mean[var], ref_means[var], sol.grid.dy)
+                for var in ex.MEAN_FIELDS}
+
+    def test_failing_order_raises_its_error(self, caplog):
+        # the custom state of the CLI's hyperbolicity test, M = 1 aborts
+        cfg = cli.parse_config("", "compare", [
+            "ic_h=1.0", "ic_hb=2.0", "ic_v=4.47213595*(1.0-2.0*zeta)",
+            "n_cells=16", "n_zeta=8", "final_time=0.2", "tol_im=1e-3"])
+        spec = cli._spec_from_config(cfg)
+        with pytest.raises(HyperbolicityError) as info:
+            ex.run_comparison(spec, [0, 1])
+        assert info.value.ratio > 1e-3
+        iface, side = info.value.location
+        assert 0 <= iface <= 16 and side in ("left", "right")
+        assert info.value.time is not None
+        assert "moment run failed at order M=1" in caplog.text
+
+    def test_hyperbolicity_error_pickles_with_its_fields(self):
+        exc = HyperbolicityError("ratio too large at t=0.1", 0.25, (3, "left"), 0.1)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is HyperbolicityError and str(back) == str(exc)
+        assert (back.ratio, back.location, back.time) == (0.25, (3, "left"), 0.1)
+
+    def test_blas_pin_stays_in_the_workers(self):
+        spec = replace(ex.make_spec(2, "linear"), n_cells=16, n_zeta=4, t_final=0.01)
+        before = blas_threads()
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=ex._init_worker, initargs=(spec,))
+        with pool:
+            assert pool.submit(blas_threads).result(timeout=60) in (None, 1)
+        ex.run_comparison(spec, [0])
+        assert blas_threads() == before
 
     def test_profile_column_rule_shared(self):
         # moment and reference profiles read the same column, a boundary
