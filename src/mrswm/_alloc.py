@@ -1,20 +1,27 @@
 """Keep large numpy temporaries on the heap instead of mmap.
 
-The solvers allocate multi-megabyte scratch arrays every right-hand-side
-evaluation; with glibc defaults those cross the mmap threshold, get
-returned to the kernel on free, and cost a page-zeroing fault on every
-reallocation (measured ~40% of the whole step time).  Raising the
-threshold once at import keeps the blocks reusable.
+With glibc defaults, multi-megabyte scratch arrays cross the mmap
+threshold, go back to the kernel on free and cost page-zeroing faults
+when they are allocated again.  ``tune_allocator`` raises the mmap and
+trim thresholds so freed blocks stay reusable.  It is a process-wide
+setting, so importing the package does not apply it: ``mrswm.cli.main``
+and the benchmark call it before any solve.  On the current solvers its
+gain is within noise: in-process medians of 15 ``reference-ex3`` solves
+(bench/workloads.py) on a shared 2-core x86-64 machine read 0.745,
+0.704 and 0.785 s with it against 0.780, 0.781 and 0.769 s without.
 """
 
 import ctypes
 import ctypes.util
+import functools
 
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 
 
+@functools.cache
 def tune_allocator() -> bool:
+    """Apply the thresholds once per process; return whether libc had mallopt."""
     try:
         libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
         libc.mallopt(M_MMAP_THRESHOLD, 1 << 30)

@@ -6,7 +6,8 @@ config file (``--config``), positional ``key=value`` tokens, and repeated
 ``--override key=value`` flags, merged in that order.  Every run writes
 its artifacts plus a ``manifest.json`` recording the configuration, code
 version, wall time, step counts, the worst complex-eigenvalue ratio seen,
-and a SHA-256 per data file (reruns of the same configuration are
+the environment (Python and numpy versions, the allocator tuning) and a
+SHA-256 per data file (reruns of the same configuration are
 byte-identical).
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
@@ -20,6 +21,7 @@ import ast
 import json
 import operator
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closure, experiments, fv1d, hyperbolicity, model1d, ref2d
+from ._alloc import tune_allocator
 from .errors import ConfigError, HyperbolicityError, SolverError
 from .io import file_sha256, format_float, write_csv, write_manifest
 
@@ -290,8 +293,9 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
               spec: experiments.ExperimentSpec | None = None,
               environment: dict | None = None) -> None:
     """Write manifest.json; ``resolved`` holds the settings of the ``spec``
-    that ran, after the example's defaults (Example 1 forces theta = 1),
-    and ``environment`` what the run found of its machine."""
+    that ran, after the example's defaults (Example 1 forces theta = 1);
+    ``environment`` holds the Python and numpy versions, whether the
+    allocator tuning took, and the command's own ``environment`` entries."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -301,13 +305,13 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
         "max_im_ratio": max_im_ratio,
         "artifacts": {str(p.relative_to(out_dir)): file_sha256(p)
                       for p in sorted(artifacts)},
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "tune_allocator": tune_allocator(), **(environment or {})},
     }
     if spec is not None:
         payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
                                "n_zeta": spec.n_zeta, "t_final": spec.t_final,
                                "tol_im": spec.tol_im}
-    if environment is not None:
-        payload["environment"] = environment
     write_manifest(out_dir / "manifest.json", payload)
 
 
@@ -449,7 +453,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report(kind: str, code: int, exc: Exception, **extra) -> int:
-    """Print one JSON line naming the failure on stderr; return its exit code."""
+    """Print one JSON line naming the failure, and the moment order of a
+    comparison's failing run, on stderr; return its exit code."""
+    if getattr(exc, "order", None) is not None:
+        extra["order"] = exc.order
     print(json.dumps({"error": kind, "exit": code, "message": str(exc), **extra}),
           file=sys.stderr)
     return code
@@ -467,6 +474,7 @@ def main(argv=None) -> int:
         if args.out:
             overrides.append(f"out_dir={args.out}")
         cfg = parse_config(text, mode=args.mode, overrides=overrides)
+        tune_allocator()
         return _COMMANDS[cfg.mode](cfg)
     except ConfigError as exc:
         return _report("config", EXIT_CONFIG, exc)

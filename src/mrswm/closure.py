@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate
 
 #: Largest supported expansion order.  The basis is stored as monomial
 #: coefficients, which grow like 4**l and start losing digits past this.
@@ -173,6 +172,17 @@ def build_tensors(order: int) -> ClosureTensors:
                           Gamma.astype(float), phi_at_one, basis)
 
 
+#: Gauss-Legendre points per panel of ``project_profile``, and the most
+#: panels it splits before it gives up.
+_PANEL_POINTS = 20
+_MAX_PANELS = 5000
+#: Relative rounding that ``project_profile`` allows in profile values: a
+#: panel need not agree closer than this times (2M+1) times the largest
+#: |profile| seen.  Without it the default tol of 1e-12 would ask profiles
+#: above about 1e3 to agree beyond the double rounding of their own values.
+_VALUE_ROUNDING = 16 * np.finfo(float).eps
+
+
 def project_profile(profile: Callable[[float], float], order: int,
                     tol: float = 1e-12) -> tuple[float, np.ndarray]:
     """Project a vertical profile onto the mean and first ``order`` moments.
@@ -180,20 +190,61 @@ def project_profile(profile: Callable[[float], float], order: int,
     Returns ``(mean, moments)`` with mean = int_0^1 profile and
     moments[i] = (2(i+1)+1) int_0^1 phi_{i+1} profile, so that
     profile ~ mean + sum_l moments[l-1] phi_l.
+
+    The profile is called on floats: once at each end point and once per
+    node.  Each panel's mean and moments come from one weighted sum in
+    longdouble; a panel is accepted once its one-panel and two half-panel
+    estimates agree to ``tol`` times its width, or to the rounding of the
+    profile's values, else it is bisected.  Jumps and kinks converge as
+    their panel narrows to one float spacing.  A non-finite value, or a
+    panel still unresolved when the split budget runs out, is a ValueError.
     """
     _check_order(order)
-    probe = np.asarray([profile(z) for z in np.linspace(0.0, 1.0, 17)], dtype=float)
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("profile returned non-finite values on [0, 1]")
+    nodes, weights = gauss_rule(_PANEL_POINTS, extended=True)
+    scale = 2 * np.arange(order + 1)[:, None] + 1
+    largest = 0.0
 
-    basis = BasisSet.build(order)
-    mean, _ = integrate.quad(profile, 0.0, 1.0, epsabs=tol, limit=200)
-    moments = np.empty(order)
-    for i in range(1, order + 1):
-        val, _ = integrate.quad(lambda zz, i=i: basis.eval(i, zz) * profile(zz),
-                                0.0, 1.0, epsabs=tol, limit=200)
-        moments[i - 1] = (2 * i + 1) * val
-    return mean, moments
+    def sample(z: np.ndarray) -> np.ndarray:
+        nonlocal largest
+        f = np.array([profile(float(zi)) for zi in z], dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("profile returned non-finite values on "
+                             f"[{float(z[0])!r}, {float(z[-1])!r}]")
+        largest = max(largest, float(np.max(np.abs(f))))
+        return f
+
+    def panel(a: float, b: float) -> np.ndarray:
+        z = a + (b - a) * nodes
+        # phi_l(z) = P_l(1 - 2z) by the three-term recurrence: its terms stay
+        # within 1, where monomial coefficients would cancel
+        p = np.ones((order + 1, z.size), dtype=np.longdouble)
+        if order:
+            p[1] = 1.0 - 2.0 * z
+        for l in range(2, order + 1):
+            p[l] = ((2 * l - 1) * p[1] * p[l - 1] - (l - 1) * p[l - 2]) / l
+        return (scale * p) @ ((b - a) * weights * sample(z))
+
+    sample(np.array([0.0, 1.0]))    # the end points, which no node reaches
+    total = np.zeros(order + 1, dtype=np.longdouble)
+    pending = [(0.0, 1.0, panel(0.0, 1.0))]
+    splits = 0
+    while pending:
+        a, b, whole = pending.pop()
+        mid = 0.5 * (a + b)
+        if not a < mid < b:     # one float spacing wide: nothing left to split
+            total += whole
+            continue
+        left, right = panel(a, mid), panel(mid, b)
+        splits += 1
+        floor = _VALUE_ROUNDING * (2 * order + 1) * largest
+        if np.max(np.abs(left + right - whole)) <= (b - a) * max(tol, floor):
+            total += left + right
+        elif splits < _MAX_PANELS:
+            pending += [(mid, b, right), (a, mid, left)]
+        else:
+            raise ValueError(f"profile projection did not converge on [{a!r}, {b!r}] "
+                             f"within {_MAX_PANELS} panel splits")
+    return float(total[0]), total[1:].astype(float)
 
 
 def eval_profile(mean: float, moments: Sequence[float], zeta):

@@ -350,8 +350,9 @@ def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonRes
     highest down), each with one BLAS thread.  The pool forks: the spec
     holds lambdas and cannot be pickled, so the workers inherit it.  A
     failure raises the error of the first failing job in the order
-    (reference, *orders), as a serial loop would, and cancels the jobs
-    that have not started.
+    (reference, *orders), as a serial loop would, with the failing order
+    as its ``order`` attribute when it is a moment run, and cancels the
+    jobs that have not started.
     """
     logger.info("example %d (%s): reference run %dx%d to t=%g",
                 spec.example, spec.case, spec.n_cells, spec.n_zeta, spec.t_final)
@@ -367,8 +368,9 @@ def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonRes
         for m in orders:
             try:
                 runs[m], stats[m] = futures[m].result()
-            except Exception:
+            except Exception as exc:
                 logger.error("moment run failed at order M=%d", m)
+                exc.order = m
                 raise
     finally:
         pool.shutdown(cancel_futures=True)

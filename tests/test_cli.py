@@ -2,14 +2,38 @@
 
 import json
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mrswm import cli
+from mrswm import _alloc, cli
 from mrswm.errors import ConfigError
 from mrswm.io import file_sha256
+
+#: The ``environment`` every command's manifest records.
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "tune_allocator": _alloc.tune_allocator()}
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this tree's package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    # projection uses the closure's own Gauss rule: no scipy on import
+    proc = run_python("-c", "import sys, mrswm, mrswm.cli, mrswm.experiments; "
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParseConfig:
@@ -104,6 +128,7 @@ class TestTensorsCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["mode"] == "tensors"
         assert len(manifest["artifacts"]) == 4
+        assert manifest["environment"] == ENVIRONMENT
 
     def test_json_output(self, tmp_path):
         rc = cli.main(["tensors", "order=2", "format=json", "--out", str(tmp_path)])
@@ -143,6 +168,7 @@ class TestRunCommands:
         assert manifest["resolved"] == {"theta": 1.0, "n_cells": 16,
                                         "n_zeta": 100, "t_final": 0.01,
                                         "tol_im": 0.1}
+        assert manifest["environment"] == ENVIRONMENT
 
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",
@@ -174,7 +200,7 @@ class TestRunCommands:
         assert len(lines) == 1 + 2 * 5   # two orders, five mean fields
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         cpus = len(os.sched_getaffinity(0))
-        assert manifest["environment"] == {"usable_cpus": cpus,
+        assert manifest["environment"] == {**ENVIRONMENT, "usable_cpus": cpus,
                                            "workers": min(3, cpus)}
 
     def test_custom_initial_conditions(self, tmp_path):
@@ -272,6 +298,21 @@ class TestRunCommands:
         for mode in runs:
             for rel, digest in tree[mode].items():
                 assert file_sha256(tmp_path / mode / rel) == digest
+        manifest = json.loads((tmp_path / "run-reference" / "manifest.json").read_text())
+        assert manifest["environment"] == ENVIRONMENT
+
+    def test_failing_order_is_one_json_line(self, tmp_path):
+        # in a fresh process: pytest's logging plugin would take the
+        # package's "moment run failed" record before stderr saw it
+        proc = run_python("-m", "mrswm.cli", "compare", "orders=1", "ic_h=1.0",
+                          "ic_hb=2.0", "ic_v=4.47213595*(1.0-2.0*zeta)",
+                          "n_cells=16", "n_zeta=8", "final_time=0.2",
+                          "tol_im=0.001", "--out", str(tmp_path))
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "hyperbolicity" and err["order"] == 1
 
 
     def test_dry_state_exit_code(self, tmp_path, capsys):
@@ -345,3 +386,5 @@ class TestScanCommand:
         lines = (tmp_path / "hyperbolicity_scan.csv").read_text().strip().split("\n")
         assert lines[0] == "b_m,beta_tilde,eta_tilde,hyperbolic,max_im_ratio"
         assert len(lines) == 1 + 125
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["environment"] == ENVIRONMENT

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Legendre
 
-from mrswm import closure
+from mrswm import closure, experiments
 
 
 def oracle_phi(l):
@@ -225,6 +225,141 @@ class TestProjection:
             lhs = np.sum(w * wj * wk)
             rhs = mj * mk + np.sum(momj * momk / (2.0 * np.arange(1, order + 1) + 1.0))
             assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+#: (mean, moments 1..3) of the examples' v and hb profiles as
+#: scipy.integrate.quad projected them, before the package's own rule.
+QUAD_PROJECTIONS = {
+    (1, "constant"): ([0.25, -2.6372669025088205e-18, 4.336808689942018e-17,
+                       -2.5439976395815164e-16], [0.0, 0.0, 0.0, 0.0]),
+    (1, "linear"): ([0.25, -0.25, 7.806255641895632e-17, -4.978656376053436e-16],
+                    [0.0, 0.0, 0.0, 0.0]),
+    (1, "quadratic"): ([0.25, 1.4264205983800216e-17, -0.25,
+                        -1.4636074324962633e-16], [0.0, 0.0, 0.0, 0.0]),
+    (1, "cubic"): ([0.25, -1.222980050563649e-16, 1.214306433183765e-16,
+                    -0.2500000000000001], [0.0, 0.0, 0.0, 0.0]),
+    (2, "constant"): ([0.25, -2.6372669025088205e-18, 4.336808689942018e-17,
+                       -2.5439976395815164e-16],
+                      [1.1, -1.249661621032016e-17, 1.3877787807814457e-16,
+                       -1.08677310616011e-15]),
+    (2, "linear"): ([0.25, -0.25, 7.806255641895632e-17, -4.978656376053436e-16],
+                    [1.1, -0.25, 2.42861286636753e-16, -1.3235940121703038e-15]),
+    (2, "quadratic"): ([0.25, 1.4264205983800216e-17, -0.25,
+                        -1.4636074324962633e-16],
+                       [1.1, -1.4096227590979922e-17, -0.2499999999999997,
+                        -9.071886897718384e-16]),
+    (2, "cubic"): ([0.25, -1.222980050563649e-16, 1.214306433183765e-16,
+                    -0.2500000000000001],
+                   [1.1, -1.1449174941446927e-16, 3.8163916471489756e-16,
+                    -0.250000000000001]),
+    (3, "sinusoid"): ([-1.8180383198332777e-18, 0.238732414637843,
+                       -3.647985037843155e-17, -0.2895604780498525],
+                      [0.10000000000000002, -1.3186334512544102e-18,
+                       3.469446951953614e-17, -9.792920866938299e-17]),
+    (4, "sinusoid"): ([-1.8180383198332777e-18, 0.238732414637843,
+                       -3.647985037843155e-17, -0.2895604780498525],
+                      [1.1, -1.249661621032016e-17, 1.3877787807814457e-16,
+                       -1.08677310616011e-15]),
+}
+
+
+def exact_projections(example, case):
+    """Exact (mean, moments 1..3) of the example's v and hb profiles: the
+    bump profiles are 1/4 (v) or the hb mean minus 1/4 phi_k, so their
+    moments are rationals; the sinusoid's are closed forms in pi."""
+    if case == "sinusoid":
+        pi = np.pi
+        v = [0.0, 3.0 / (4.0 * pi), 0.0, 7.0 * (pi ** 2 - 15.0) / (4.0 * pi ** 3)]
+        return v, [0.1 if example == 3 else 1.1, 0.0, 0.0, 0.0]
+    k = experiments.BUMP_CASES.index(case)
+    v = [0.25, 0.0, 0.0, 0.0]
+    hb = [0.0 if example == 1 else 1.1, 0.0, 0.0, 0.0]
+    if k:
+        v[k] = -0.25
+        hb[k] = 0.0 if example == 1 else -0.25
+    return v, hb
+
+
+class TestGaussProjection:
+    """The adaptive Gauss-Legendre projection against exact values."""
+
+    @pytest.mark.parametrize("example, case", sorted(QUAD_PROJECTIONS))
+    def test_example_profiles(self, example, case):
+        spec = experiments.make_spec(example, case)
+        profiles = (spec.v_profile, spec.hb_profile)
+        for profile, quad, exact in zip(profiles, QUAD_PROJECTIONS[example, case],
+                                        exact_projections(example, case)):
+            for order in range(4):
+                mean, moments = closure.project_profile(profile, order)
+                got = np.array([mean, *moments])
+                np.testing.assert_allclose(got, exact[:order + 1], rtol=0, atol=2e-16)
+                np.testing.assert_allclose(got, quad[:order + 1], rtol=0, atol=2e-15)
+
+    def test_jump(self):
+        mean, _ = closure.project_profile(
+            lambda z: np.where(z < 1.0 / np.pi, 1.0, 0.3), 2)
+        assert mean == pytest.approx(0.3 + 0.7 / np.pi, abs=1e-15)
+
+    def test_kink(self):
+        # exact moments of |z - 0.3| from both sides of the kink, each a
+        # polynomial integrated by the 200-node oracle rule
+        order = 4
+        z, w = oracle_gauss(200)
+        exact = np.zeros(order + 1, dtype=np.longdouble)
+        for a, b in ((0.0, 0.3), (0.3, 1.0)):
+            x = a + (b - a) * z
+            f = np.abs(x - 0.3) * (b - a) * w
+            exact[0] += np.sum(f)
+            for l in range(1, order + 1):
+                exact[l] += (2 * l + 1) * np.sum(f * oracle_phi(l)(x))
+        mean, moments = closure.project_profile(lambda z: abs(z - 0.3), order)
+        np.testing.assert_allclose([mean, *moments], exact.astype(float),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("profile", [
+        lambda z: np.where(np.sin(1.0 / (z + 1e-300)) > 0.0, 1.0, 0.0),
+        lambda z: np.where(np.sin(1.0 / (1.0 - z + 1e-300)) > 0.0, 1.0, 0.0),
+    ], ids=["towards-0", "towards-1"])
+    def test_unresolved_profile_rejected(self, profile):
+        # infinitely many jumps towards an end point: the split budget runs out
+        with pytest.raises(ValueError, match=r"did not converge on \[.*within 5000 panel splits"):
+            closure.project_profile(profile, 2)
+
+    @pytest.mark.parametrize("z_bad", [0.0, 1.0])
+    def test_rejects_non_finite_end_point(self, z_bad):
+        # no Gauss node lies on an end point: they are sampled on their own
+        with pytest.raises(ValueError, match="non-finite"):
+            closure.project_profile(lambda z: np.inf if z == z_bad else 1.0, 2)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e4, 1e12])
+    def test_every_order(self, amplitude):
+        # up to MAX_ORDER, where monomial-form phi_l would cancel, and for
+        # profiles too large for an absolute 1e-12 against their rounding
+        order = closure.MAX_ORDER
+        z, w = oracle_gauss(200)
+        exact = np.array([np.sum(w * np.exp(z))]
+                         + [(2 * l + 1) * np.sum(w * np.exp(z) * oracle_phi(l)(z))
+                            for l in range(1, order + 1)])
+        for m in range(order + 1):
+            mean, moments = closure.project_profile(lambda z: amplitude * np.exp(z), m)
+            np.testing.assert_allclose(np.array([mean, *moments]) / amplitude,
+                                       exact[:m + 1].astype(float), rtol=0, atol=1e-13)
+            mean, moments = closure.project_profile(lambda z: amplitude, m)
+            assert mean == amplitude
+            np.testing.assert_allclose(moments / amplitude, 0.0, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 6),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7))
+def test_projection_round_trip(order, coeffs):
+    # eval_profile sums monomial-form phi_l in double precision, which
+    # loses ~1e-13 to cancellation at order 6
+    mean, moments = coeffs[0], np.array(coeffs[1:order + 1])
+    got_mean, got_moments = closure.project_profile(
+        lambda z: closure.eval_profile(mean, moments, z), order)
+    assert got_mean == pytest.approx(mean, abs=1e-12)
+    np.testing.assert_allclose(got_moments, moments, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
