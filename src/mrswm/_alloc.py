@@ -4,11 +4,12 @@ With glibc defaults, multi-megabyte scratch arrays cross the mmap
 threshold, go back to the kernel on free and cost page-zeroing faults
 when they are allocated again.  ``tune_allocator`` raises the mmap and
 trim thresholds so freed blocks stay reusable.  It is a process-wide
-setting, so importing the package does not apply it: ``mrswm.cli.main``
-and the benchmark call it before any solve.  On the current solvers its
-gain is within noise: in-process medians of 15 ``reference-ex3`` solves
-(bench/workloads.py) on a shared 2-core x86-64 machine read 0.745,
-0.704 and 0.785 s with it against 0.780, 0.781 and 0.769 s without.
+setting, so neither importing the package nor ``mrswm.cli.main``
+applies it.  On the current solvers its gain is within noise: in-process
+medians of 15 ``reference-ex3`` solves (bench/workloads.py) on a shared
+2-core x86-64 machine read 0.745, 0.704 and 0.785 s with it against
+0.780, 0.781 and 0.769 s without.  Only the benchmark still calls it
+(``bench/run.py``'s ``environment()``), which is why this module stays.
 """
 
 import ctypes

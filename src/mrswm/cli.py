@@ -6,9 +6,8 @@ config file (``--config``), positional ``key=value`` tokens, and repeated
 ``--override key=value`` flags, merged in that order.  Every run writes
 its artifacts plus a ``manifest.json`` recording the configuration, code
 version, wall time, step counts, the worst complex-eigenvalue ratio seen,
-the environment (Python and numpy versions, the allocator tuning) and a
-SHA-256 per data file (reruns of the same configuration are
-byte-identical).
+the environment (Python and numpy versions) and a SHA-256 per data file
+(reruns of the same configuration are byte-identical).
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 hyperbolicity abort.
@@ -30,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closure, experiments, fv1d, hyperbolicity, model1d, ref2d
-from ._alloc import tune_allocator
 from .errors import ConfigError, HyperbolicityError, SolverError
 from .io import file_sha256, format_float, write_csv, write_manifest
 
@@ -294,8 +292,8 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
               environment: dict | None = None) -> None:
     """Write manifest.json; ``resolved`` holds the settings of the ``spec``
     that ran, after the example's defaults (Example 1 forces theta = 1);
-    ``environment`` holds the Python and numpy versions, whether the
-    allocator tuning took, and the command's own ``environment`` entries."""
+    ``environment`` holds the Python and numpy versions and the command's
+    own ``environment`` entries."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -306,7 +304,7 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
         "artifacts": {str(p.relative_to(out_dir)): file_sha256(p)
                       for p in sorted(artifacts)},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "tune_allocator": tune_allocator(), **(environment or {})},
+                        **(environment or {})},
     }
     if spec is not None:
         payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
@@ -474,7 +472,6 @@ def main(argv=None) -> int:
         if args.out:
             overrides.append(f"out_dir={args.out}")
         cfg = parse_config(text, mode=args.mode, overrides=overrides)
-        tune_allocator()
         return _COMMANDS[cfg.mode](cfg)
     except ConfigError as exc:
         return _report("config", EXIT_CONFIG, exc)

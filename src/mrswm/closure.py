@@ -198,6 +198,13 @@ def project_profile(profile: Callable[[float], float], order: int,
     profile's values, else it is bisected.  Jumps and kinks converge as
     their panel narrows to one float spacing.  A non-finite value, or a
     panel still unresolved when the split budget runs out, is a ValueError.
+
+    Only what the nodes sample can start a split: a feature so narrow and
+    so near an end point that it falls between all nodes of the whole
+    interval and of both its halves is missed.  A step at z = 1e-5 (0
+    below it, 1 above) returns mean 1.0, not 1 - 1e-5, since every node of
+    [0, 1/2] lies above 1e-5; the end-point samples at z = 0 and 1 only
+    scale the tolerance.
     """
     _check_order(order)
     nodes, weights = gauss_rule(_PANEL_POINTS, extended=True)

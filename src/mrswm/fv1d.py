@@ -114,16 +114,23 @@ def limited_slope(ext: np.ndarray, dx: float, theta: float, axis: int = 0) -> np
 
 
 def clip_depth_slope(u_bar: np.ndarray, slope: np.ndarray, dx: float,
-                     h_min: float) -> None:
+                     h_min: float) -> np.ndarray:
     """Zero, in place, the depth slope of every cell in which a face depth
-    would fall to or below the floor (and log how many)."""
+    would fall to or below the floor; return the mask of those cells."""
     half = 0.5 * dx * slope[..., H]
     h = u_bar[..., H]
     bad = (h + half <= h_min) | (h - half <= h_min)
     if np.any(bad):
-        logger.warning("clipped depth slope in %d cell(s) to keep h above floor",
-                       int(bad.sum()))
         slope[..., H][bad] = 0.0
+    return bad
+
+
+def warn_clipped(n_cells: int) -> None:
+    """Log how many depth slopes ``clip_depth_slope`` zeroed, if any; the
+    solvers call it once per right-hand side and direction."""
+    if n_cells:
+        logger.warning("clipped depth slope in %d cell(s) to keep h above floor",
+                       int(n_cells))
 
 
 @dataclass
@@ -151,7 +158,7 @@ def reconstruct(solution: Solution1D, theta: float,
     ext = fill_ghosts(solution.cells, solution.grid.boundary)
     mid = ext[1:-1]
     slope = limited_slope(ext, dy, theta)
-    clip_depth_slope(mid, slope, dy, h_min)
+    warn_clipped(clip_depth_slope(mid, slope, dy, h_min).sum())
 
     north = mid + 0.5 * dy * slope
     south = mid - 0.5 * dy * slope

@@ -18,6 +18,23 @@ Wave speeds are closed-form: v +- sqrt(b^2 + g h) in y and
 omega +- |C| in zeta; the vertical flux vanishes identically at the
 surface and bottom where omega = C = 0, so mass is exchanged only
 horizontally.
+
+``rhs2d`` fills the y ghosts of U and B once, then runs its body over
+windows of about ``WINDOW_CELLS`` cells (whole rows; a strip that fits
+in one window runs as one).  At n_zeta = 100 a window is 100 rows and
+each of the body's (rows, n_zeta, 5) temporaries 400 KB, so they stay in
+a 2 MiB L2 cache where the whole strip's (3.2 MB each at 800 x 100)
+would stream from memory.  A window reads ``HALO`` = 3 rows of U and B
+beyond each end: the B update takes the y-slope of omega, one row beyond
+the window; omega there needs the depth fluxes one row further out, and
+their face values the limited slopes of the row beyond that.  The halo
+rows are recomputed with the same arithmetic as in the window that owns
+them, so every element of the result is bit-for-bit what one window over
+the strip gives.  Beyond an outflow end the ghost omega is a copy of the
+edge row's, not one computed from the copied rows of U.
+The speeds and the divergence residual are maxima over the windows; the
+clipped depth slopes are counted once per stencil row and logged once
+per direction.
 """
 
 from __future__ import annotations
@@ -30,8 +47,14 @@ import numpy as np
 from .errors import DryStateError
 from .fv1d import (RunStats, StepDiagnostics, _cell_weights, _interface_weights,
                    clip_depth_slope, cu_flux_from_values, fill_ghosts, integrate,
-                   limited_slope)
+                   limited_slope, warn_clipped)
 from .model1d import DEFAULT_H_MIN, _zero_fn, source_s
+
+#: Cells (rows x n_zeta) in one window of ``rhs2d``: about 100 rows at
+#: n_zeta = 100, so that each temporary of a window stays in the L2 cache.
+WINDOW_CELLS = 10_000
+#: Rows of U and B that a window reads beyond each of its ends.
+HALO = 3
 
 
 @dataclass(frozen=True)
@@ -151,6 +174,15 @@ def coupling_omega(h_up: np.ndarray, h_down: np.ndarray, flux_h: np.ndarray,
     discrete depth update is the column mean of the flux divergence,
     keeping h uniform in zeta; omega vanishes at zeta = 0 and 1 (the
     telescoping sum makes the top value zero to round-off; it is forced).
+
+    Why the update is the column mean: while h is the same in every cell
+    of a column, its limited zeta slopes vanish, both sides of a zeta
+    interface k+1/2 carry that h, and the central-upwind depth flux there
+    reduces to h omega_{k+1/2} = partial_k, since omega divides 2 partial_k
+    by the sum of those two face depths.  The depth has no source and no
+    nonconservative product, so cell k's depth update is
+    -flux_div_k - (partial_k - partial_{k-1}) / dzeta
+    = -flux_div_k - (hvm_y - flux_div_k) = -hvm_y, the same in every layer.
     """
     n_y, n_z = h_up.shape
     flux_div = (flux_h[1:] - flux_h[:-1]) / dy            # (n_y, n_z)
@@ -191,62 +223,118 @@ class Rhs2DResult:
 
 @dataclass
 class Reconstruction2D:
-    """Limited reconstruction on the n_y + 2 rows with one ghost row per side.
+    """Limited reconstruction on a run of rows of the strip.
 
     The hb component of ``slope_y`` is the divergence slope sigma * B; the
     depth slopes are clipped to keep every face depth above the floor.
     """
 
-    u_bar: np.ndarray      # (n_y+2, n_zeta, 5) cell averages
-    b_bar: np.ndarray      # (n_y+2, n_zeta) divergence field B
-    slope_y: np.ndarray    # (n_y+2, n_zeta, 5)
-    slope_z: np.ndarray    # (n_y+2, n_zeta, 5)
-    north: np.ndarray      # (n_y+2, n_zeta, 5) face values at y + dy/2
+    u_bar: np.ndarray      # (rows, n_zeta, 5) cell averages
+    slope_y: np.ndarray    # (rows, n_zeta, 5)
+    slope_z: np.ndarray    # (rows, n_zeta, 5)
+    north: np.ndarray      # (rows, n_zeta, 5) face values at y + dy/2
     south: np.ndarray      # ... at y - dy/2
     up: np.ndarray         # ... at zeta + dzeta/2
     down: np.ndarray       # ... at zeta - dzeta/2
 
 
-def reconstruct2d(solution: Solution2D, params: RefParams,
-                  theta: float) -> Reconstruction2D:
-    """Limited piecewise-linear face values in both directions."""
-    grid = solution.grid
+def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefParams,
+                 theta: float) -> tuple[Reconstruction2D, np.ndarray, np.ndarray]:
+    """Face values on the rows of ``ext`` inside its first and last row,
+    where ``b_bar`` holds B; also the masks of the clipped y and zeta depth
+    slopes."""
     dy, dz = grid.dy, grid.dzeta
-    ext = fill_ghosts(solution.U, grid.boundary_y)         # (n_y+4, n_z, 5)
     mid = ext[1:-1]
-    B_mid = fill_ghosts(solution.B, grid.boundary_y, 1)
-
     sy = limited_slope(ext, dy, theta)
-    sy[..., 4] = sigma_factor(sy[..., 4], B_mid) * B_mid
-    clip_depth_slope(mid, sy, dy, params.h_min)
+    sy[..., 4] = sigma_factor(sy[..., 4], b_bar) * b_bar
+    clip_y = clip_depth_slope(mid, sy, dy, params.h_min)
 
     ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
     sz = limited_slope(ext_z, dz, theta, axis=1)
-    clip_depth_slope(mid, sz, dz, params.h_min)
+    clip_z = clip_depth_slope(mid, sz, dz, params.h_min)
 
     half = 0.5 * dy * sy
     north, south = mid + half, mid - half
     np.multiply(0.5 * dz, sz, out=half)
-    return Reconstruction2D(u_bar=mid, b_bar=B_mid, slope_y=sy, slope_z=sz,
-                            north=north, south=south, up=mid + half, down=mid - half)
+    rec = Reconstruction2D(u_bar=mid, slope_y=sy, slope_z=sz, north=north,
+                           south=south, up=mid + half, down=mid - half)
+    return rec, clip_y, clip_z
+
+
+def reconstruct2d(solution: Solution2D, params: RefParams,
+                  theta: float) -> Reconstruction2D:
+    """Limited piecewise-linear face values in both directions on the
+    n_y + 2 rows with one ghost row per side."""
+    grid = solution.grid
+    rec, clip_y, clip_z = _reconstruct(fill_ghosts(solution.U, grid.boundary_y),
+                                       fill_ghosts(solution.B, grid.boundary_y, 1),
+                                       grid, params, theta)
+    warn_clipped(clip_y.sum())
+    warn_clipped(clip_z.sum())
+    return rec
 
 
 def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
-    """Semi-discrete time derivative of (U, B)."""
+    """Semi-discrete time derivative of (U, B), computed window by window
+    (see the module docstring)."""
     grid = solution.grid
-    dy, dz = grid.dy, grid.dzeta
     n_y, n_z = grid.n_y, grid.n_zeta
+    # A face depth falls to the floor exactly where a cell depth does: a
+    # clipped cell's faces are its average, the others' stay above it.
+    if np.any(solution.U[..., 0] <= params.h_min):
+        reconstruct2d(solution, params, theta)                 # logs the clipping
+        raise DryStateError("face depth at or below floor")
+    ext = fill_ghosts(solution.U, grid.boundary_y, HALO)       # (n_y+6, n_z, 5)
+    B_ext = fill_ghosts(solution.B, grid.boundary_y, HALO)
+    y = grid.y_centers()
+    f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)[:, None]
+    dudt = np.moveaxis(np.empty((5, n_y, n_z)), 0, -1)         # the state's layout
+    dbdt = np.empty((n_y, n_z))
+    outflow = grid.boundary_y == "outflow"
+    rows = max(1, WINDOW_CELLS // n_z)
+    stats = []
+    for a in range(0, n_y, rows):
+        b = min(a + rows, n_y)
+        stats.append(_rhs_rows(ext[a:b + 2 * HALO], B_ext[a:b + 2 * HALO], f[a:b],
+                               (a == 0, b == n_y), outflow, grid, params, theta,
+                               dudt[a:b], dbdt[a:b]))
+    stats = np.array(stats)
+    warn_clipped(stats[:, 3].sum())
+    warn_clipped(stats[:, 4].sum())
+    max_speed_y, max_speed_z, div_residual = map(float, stats[:, :3].max(axis=0))
+    b_scale = np.abs(solution.B).max()
+    return Rhs2DResult(dudt=dudt, dbdt=dbdt, max_speed_y=max_speed_y,
+                       max_speed_z=max_speed_z,
+                       div_residual=div_residual if b_scale == 0.0
+                       else div_residual / b_scale)
+
+
+def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
+              edges: tuple[bool, bool], outflow: bool, grid: Grid2D,
+              params: RefParams, theta: float, dudt: np.ndarray,
+              dbdt: np.ndarray) -> tuple[float, ...]:
+    """The right-hand side on the window of rows a .. b-1, written into
+    ``dudt`` and ``dbdt``.
+
+    ``ext`` and ``B_ext`` hold U and B on rows a-3 .. b+2, and ``edges``
+    says whether a and b are the ends of the strip.  Returns the window's
+    maxima of the y and zeta speeds and of the divergence residual, and
+    the numbers of clipped y and zeta depth slopes on its stencil rows:
+    a .. b-1, and the ghost row beyond an end of the strip.
+    """
+    dy, dz = grid.dy, grid.dzeta
+    n, n_z = dudt.shape[:2]
     g = params.g
 
-    rec = reconstruct2d(solution, params, theta)
-    mid, B_mid, sy = rec.u_bar, rec.b_bar, rec.slope_y
-    real = slice(1, -1)
+    B_mid = B_ext[1:-1]
+    rec, clip_y, clip_z = _reconstruct(ext, B_mid, grid, params, theta)
+    own = slice(1 if edges[0] else 2, -1 if edges[1] else -2)
+    mid, sy = rec.u_bar, rec.slope_y                      # rows a-2 .. b+1
+    real = slice(2, -2)
 
     # --- horizontal central-upwind fluxes ---------------------------------
-    L, R = rec.north[:-1], rec.south[1:]                  # (n_y+1, n_z, 5)
-    for face in (L, R):
-        if np.any(face[..., 0] <= params.h_min):
-            raise DryStateError("face depth at or below floor")
+    # at the interfaces a-3/2 .. b+1/2; the window's own are [1:-1]
+    L, R = rec.north[:-1], rec.south[1:]                  # (n+3, n_z, 5)
 
     def wave(U):
         h = U[..., 0]
@@ -262,22 +350,25 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                              L, R, sm_y, sp_y)
 
     # --- vertical transport operators -------------------------------------
-    h_up = rec.up[real, :, 0]
-    h_down = rec.down[real, :, 0]
-    omega = coupling_omega(h_up, h_down, Gf[..., 0], dy, dz)   # (n_y, n_z+1)
-    hc_face_all, hc_cen_all = coupling_c(sy[..., 4], dz)       # incl. ghost rows
-    hc_face = hc_face_all[real]
+    # omega on rows a-1 .. b, for the B update's y-slope of omega
+    omega = coupling_omega(rec.up[1:-1, :, 0], rec.down[1:-1, :, 0], Gf[..., 0],
+                           dy, dz)
+    hc_face_all, hc_cen_all = coupling_c(sy[1:-1, :, 4], dz)  # rows a-1 .. b
+    hc_face = hc_face_all[1:-1]
     sigma_b = sy[real, :, 4]                                   # sigma * B
+    L, R, sp_y, sm_y = L[1:-1], R[1:-1], sp_y[1:-1], sm_y[1:-1]
 
     # --- vertical central-upwind fluxes -----------------------------------
-    om_int = omega[:, 1:-1]                                # (n_y, n_z-1)
+    h_up = rec.up[real, :, 0]
+    h_down = rec.down[real, :, 0]
+    om_int = omega[1:-1, 1:-1]                             # (n, n_z-1)
     c_up = hc_face[:, 1:-1] / h_up[:, :-1]
     c_dn = hc_face[:, 1:-1] / h_down[:, 1:]
     up = rec.up[real, :-1]
     dn = rec.down[real, 1:]
     sp_z = np.maximum(np.maximum(om_int + np.abs(c_up), om_int + np.abs(c_dn)), 0.0)
     sm_z = np.minimum(np.minimum(om_int - np.abs(c_up), om_int - np.abs(c_dn)), 0.0)
-    Hf = np.moveaxis(np.empty((5, n_y, n_z + 1)), 0, -1)   # the state's layout
+    Hf = np.moveaxis(np.empty((5, n, n_z + 1)), 0, -1)   # the state's layout
     Hf[:, [0, -1]] = 0.0
     cu_flux_from_values(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
                         up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
@@ -301,11 +392,9 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     cl = np.where(width_y > 0.0, sp_y / safe_y, 0.0)[..., None]
     cr = np.where(width_y > 0.0, sm_y / safe_y, 0.0)[..., None]
 
-    y = grid.y_centers()
-    f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)[:, None]
-
     # dudt = -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
-    dudt = np.subtract(Gf[1:], Gf[:-1])
+    Gf = Gf[1:-1]
+    np.subtract(Gf[1:], Gf[:-1], out=dudt)
     dudt -= Qy_cell
     tmp = np.multiply(cl[:-1], Qy_if[:-1], out=Qy_cell)
     dudt -= tmp
@@ -320,39 +409,37 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     dudt += source_s(U_real, f)
 
     # --- divergence-field evolution (first-order fluxes) --------------------
-    v_mid = mid[..., 2] / mid[..., 0]
+    v_mid = mid[1:-1, :, 2] / mid[1:-1, :, 0]              # rows a-1 .. b
     ext_vz = np.concatenate([v_mid[:, :1], v_mid, v_mid[:, -1:]], axis=1)
-    v_zeta = limited_slope(ext_vz, dz, theta, axis=1)      # (n_y+2, n_z)
-    phi_y = (v_mid * B_mid - hc_cen_all * v_zeta)[..., None]   # (n_y+2, n_z, 1)
-    B_1 = B_mid[..., None]
+    v_zeta = limited_slope(ext_vz, dz, theta, axis=1)
+    phi_y = (v_mid * B_mid[1:-1] - hc_cen_all * v_zeta)[..., None]
+    B_1 = B_mid[1:-1, :, None]
 
     FyB = cu_flux_from_values(phi_y[:-1], phi_y[1:], B_1[:-1], B_1[1:],
                               sm_y, sp_y)[..., 0]
 
-    om_cen = 0.5 * (omega[:, :-1] + omega[:, 1:])
-    om_ext = fill_ghosts(om_cen, grid.boundary_y, 1)
-    om_y = limited_slope(om_ext, dy, theta)                # (n_y, n_z)
-    B_real = solution.B
+    om_cen = 0.5 * (omega[:, :-1] + omega[:, 1:])          # rows a-1 .. b
+    # beyond an outflow end, the ghost omega is a copy of the edge row's
+    # (beyond a periodic end, the halo row is the wrapped row)
+    if outflow and edges[0]:
+        om_cen[0] = om_cen[1]
+    if outflow and edges[1]:
+        om_cen[-1] = om_cen[-2]
+    om_y = limited_slope(om_cen, dy, theta)                # rows a .. b-1
+    B_real = B_mid[real]
     hb_real = U_real[..., 4]
-    psi = omega[:, 1:-1]
-    up_val = psi * B_real[:, :-1] + hb_real[:, :-1] * om_y[:, :-1]
-    dn_val = psi * B_real[:, 1:] + hb_real[:, 1:] * om_y[:, 1:]
-    FzB = np.zeros((n_y, n_z + 1))
+    up_val = om_int * B_real[:, :-1] + hb_real[:, :-1] * om_y[:, :-1]
+    dn_val = om_int * B_real[:, 1:] + hb_real[:, 1:] * om_y[:, 1:]
+    FzB = np.zeros((n, n_z + 1))
     B_1 = B_real[..., None]
     cu_flux_from_values(up_val[..., None], dn_val[..., None], B_1[:, :-1], B_1[:, 1:],
                         sm_z, sp_z, out=FzB[:, 1:-1, None])
 
-    dbdt = -(FyB[1:] - FyB[:-1]) / dy - (FzB[:, 1:] - FzB[:, :-1]) / dz
+    np.subtract(-(FyB[1:] - FyB[:-1]) / dy, (FzB[:, 1:] - FzB[:, :-1]) / dz, out=dbdt)
 
     slope_hc = (hc_face[:, 1:] - hc_face[:, :-1]) / dz
-    b_scale = np.abs(solution.B).max()
-    div_residual = float(np.abs(sigma_b + slope_hc).max())
-    return Rhs2DResult(dudt=dudt, dbdt=dbdt,
-                       max_speed_y=float(np.maximum(sp_y, -sm_y).max()),
-                       max_speed_z=float(np.maximum(sp_z, -sm_z).max())
-                       if sp_z.size else 0.0,
-                       div_residual=div_residual if b_scale == 0.0
-                       else div_residual / b_scale)
+    return (np.maximum(sp_y, -sm_y).max(), np.maximum(sp_z, -sm_z).max(),
+            np.abs(sigma_b + slope_hc).max(), clip_y[own].sum(), clip_z[own].sum())
 
 
 def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrswm import _alloc, cli
+from mrswm import cli
 from mrswm.errors import ConfigError
 from mrswm.io import file_sha256
 
 #: The ``environment`` every command's manifest records.
-ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
-               "tune_allocator": _alloc.tune_allocator()}
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
 SRC = Path(cli.__file__).resolve().parents[1]
 

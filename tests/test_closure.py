@@ -300,6 +300,14 @@ class TestGaussProjection:
             lambda z: np.where(z < 1.0 / np.pi, 1.0, 0.3), 2)
         assert mean == pytest.approx(0.3 + 0.7 / np.pi, abs=1e-15)
 
+    def test_narrow_edge_feature_is_missed(self):
+        # the documented limit: every node of [0, 1] and of its halves lies
+        # above 1e-5, so the estimates agree and no split finds the step
+        mean, moments = closure.project_profile(
+            lambda z: np.where(z > 1e-5, 1.0, 0.0), 2)
+        assert mean == 1.0
+        np.testing.assert_allclose(moments, 0.0, rtol=0, atol=1e-15)
+
     def test_kink(self):
         # exact moments of |z - 0.3| from both sides of the kink, each a
         # polynomial integrated by the 200-node oracle rule

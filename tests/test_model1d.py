@@ -410,6 +410,47 @@ class TestLocalSpeeds:
         assert info.value.ratio > 1e-3
 
 
+def elsasser_flip(order):
+    """Signs that flip ha_m, hb_m, h gamma_i and h eta_i and keep the rest."""
+    P = np.ones(model1d.n_vars(order))
+    P[[model1d.HA, model1d.HB]] = -1.0
+    for i in range(1, order + 1):
+        P[[model1d.moment_index(i, model1d.GAMMA),
+           model1d.moment_index(i, model1d.ETA)]] = -1.0
+    return P
+
+
+class TestElsasserSymmetry:
+    """Reversing the magnetic field maps solutions to solutions: with P the
+    sign flip of every magnetic component, G(PU) = P G(U),
+    Q(PU) = P Q(U) P, and J(PU) = P J(U) P has the spectrum of J(U)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           h_left=st.floats(0.1, 3.0), h_right=st.floats(0.1, 3.0),
+           amp=st.floats(0.01, 2.0))
+    def test_magnetic_sign_flip(self, order, seed, h_left, h_right, amp):
+        rng = np.random.default_rng(seed)
+        p = params_for(order)
+        P = elsasser_flip(order)
+        U = np.empty((2, model1d.n_vars(order)))
+        U[:, 0] = h_left, h_right
+        U[:, 1:] = amp * U[:, :1] * rng.normal(size=(2, U.shape[1] - 1))
+        G, G_flip = (model1d.flux_g(V, p) for V in (U, P * U))
+        np.testing.assert_allclose(G_flip, P * G, rtol=0,
+                                   atol=1e-13 * np.abs(G).max())
+        Q, Q_flip = (model1d.noncons_q(V, p) for V in (U, P * U))
+        np.testing.assert_allclose(Q_flip, P[:, None] * Q * P, rtol=0,
+                                   atol=1e-13 * max(np.abs(Q).max(), 1.0))
+        (sm, sp_, ratio), (sm_f, sp_f, ratio_f) = (
+            model1d.interface_speeds(V[:1], V[1:], p, tol_im=np.inf)
+            for V in (U, P * U))
+        scale = max(np.abs(sm).max(), np.abs(sp_).max())
+        np.testing.assert_allclose(sm_f, sm, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(sp_f, sp_, rtol=0, atol=1e-13 * scale)
+        assert ratio_f == pytest.approx(ratio, rel=1e-13, abs=1e-13)
+
+
 class TestReductionStructure:
     def test_zero_magnetic_data_cannot_source_magnetic_rows(self):
         # with a_m = b_m = gamma = eta = 0 the magnetic flux rows vanish,

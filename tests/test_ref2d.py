@@ -2,6 +2,8 @@
 divergence-consistent reconstruction, and cross-checks against the 1-D
 solver on vertically uniform data."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -35,11 +37,11 @@ def with_layout(sol, layout):
     return out
 
 
-def varied_solution():
+def varied_solution(n_y=24, boundary="outflow"):
     """Outflow state with Coriolis forcing, a depth step that leaves some
     cells' depth slopes limited to zero and others sloped, and every
     component varying in y and zeta."""
-    grid = Grid2D(-1.0, 1.0, 24, 8, boundary_y="outflow")
+    grid = Grid2D(-1.0, 1.0, n_y, 8, boundary_y=boundary)
     y = grid.y_centers()[:, None]
     z = grid.zeta_centers()[None, :]
     h = 1.0 + 0.3 * np.exp(-4.0 * y ** 2) + 0.2 * (y > 0.3)
@@ -297,6 +299,32 @@ class TestRhs2D:
         v1 = sol1.cells[:, 2] / sol1.cells[:, 0]
         np.testing.assert_allclose(means[:, 2], v1, atol=2e-8)
 
+    def test_depth_stays_uniform_in_zeta(self):
+        # Example-3-like: outflow, Coriolis, u, v and hb varying in zeta;
+        # the depth update is the column mean (coupling_omega), so h keeps
+        # one value per column up to round-off
+        grid = Grid2D(-4.0, 4.0, 32, 10, boundary_y="outflow")
+        y = grid.y_centers()[:, None]
+        z = grid.zeta_centers()[None, :]
+        h = 1.0 + 0.2 * np.exp(-y ** 2)
+        U = np.zeros((grid.n_y, grid.n_zeta, 5))
+        U[..., 0] = h
+        U[..., 1] = h * 0.1 * np.exp(-y ** 2) * (1.0 + 0.5 * np.cos(np.pi * z))
+        U[..., 2] = h * np.sin(2.0 * np.pi * z)
+        U[..., 4] = 0.1 + 0.05 * (1.0 - 2.0 * z)
+        sol = Solution2D(grid, U, ref2d.make_divergence_field(U, grid, 1.3))
+        p = RefParams(g=1.0, coriolis=lambda y: np.ones_like(y))
+        spreads = []
+
+        def record(s, diag):
+            h = s.U[..., 0]
+            spreads.append(float((h.max(axis=1) - h.min(axis=1)).max()))
+
+        final, stats = ref2d.run2d(sol, p, t_final=1.0, callback=record)
+        assert stats.n_steps >= 10 and len(spreads) == stats.n_steps
+        assert np.abs(final.U[..., 0] - U[..., 0]).max() > 1e-3
+        assert max(spreads) <= 1e-13
+
     def test_divergence_residual_zero_by_construction(self):
         grid = Grid2D(-1.0, 1.0, 24, 8)
         y = grid.y_centers()
@@ -334,6 +362,96 @@ class TestRhs2D:
         with pytest.raises(DryStateError,
                            match=r"depth 1\.000e-12 at flat cell index 20 .* at t=0$"):
             ref2d.run2d(sol, RefParams(g=1.0), t_final=0.1)
+
+
+def rhs_in_windows(monkeypatch, sol, p, theta, rows):
+    """rhs2d run in windows of ``rows`` rows, and the rows of each window."""
+    body, sizes = ref2d._rhs_rows, []
+
+    def spy(*args):
+        sizes.append(args[8].shape[0])                     # the window's dudt
+        return body(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ref2d, "WINDOW_CELLS", rows * sol.grid.n_zeta)
+        m.setattr(ref2d, "_rhs_rows", spy)
+        return ref2d.rhs2d(sol, p, theta), sizes
+
+
+def assert_same_rhs(a, b):
+    assert a.dudt.tobytes() == b.dudt.tobytes()
+    assert a.dbdt.tobytes() == b.dbdt.tobytes()
+    assert (a.max_speed_y, a.max_speed_z, a.div_residual) == \
+        (b.max_speed_y, b.max_speed_z, b.div_residual)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("n_y, boundary, rows, sizes", [
+        (24, "outflow", 5, [5, 5, 5, 5, 4]),
+        (23, "periodic", 5, [5, 5, 5, 5, 3]),
+        (21, "outflow", 4, [4, 4, 4, 4, 4, 1]),
+        (21, "periodic", 5, [5, 5, 5, 5, 1]),
+    ])
+    def test_windows_match_one_window_bitwise(self, monkeypatch, n_y, boundary,
+                                              rows, sizes):
+        sol, p = varied_solution(n_y, boundary)
+        whole, one = rhs_in_windows(monkeypatch, sol, p, 1.3, n_y)
+        tiled, many = rhs_in_windows(monkeypatch, sol, p, 1.3, rows)
+        assert one == [n_y] and many == sizes
+        assert_same_rhs(tiled, whole)
+        assert component_first(tiled.dudt)
+        assert np.abs(whole.dbdt).max() > 0.0 and whole.div_residual > 0.0
+
+    def test_outflow_ghost_omega_copies_the_edge_row(self, monkeypatch):
+        # beyond an outflow end the B update's y-slope of omega sees a copy
+        # of the edge row's omega, so that slope vanishes in the edge rows;
+        # an omega computed from the copied rows of U moves these values
+        # by up to 0.024
+        sol, p = varied_solution()
+        first = [-2.0509137488387097, -2.382901713769716, -2.6784914180731416,
+                 -2.9853424124231265, -3.3024178670058317, -3.628761823813484,
+                 -3.963499620205749, -3.344287117525156]
+        last = [-2.7914555980353493, -2.5465206803871734, -2.3798487176676453,
+                -2.224927171830732, -2.0809636588582436, -1.9471924508247944,
+                -1.8228810676617526, -2.4405771938559364]
+        for rows in (sol.grid.n_y, 5):
+            dbdt = rhs_in_windows(monkeypatch, sol, p, 1.3, rows)[0].dbdt
+            np.testing.assert_allclose(dbdt[0], first, rtol=1e-12)
+            np.testing.assert_allclose(dbdt[-1], last, rtol=1e-12)
+
+    def test_clip_warnings_match_one_window(self, monkeypatch, caplog):
+        # at theta = 2 the face of a cell between a deep neighbour and one a
+        # float spacing above the floor lands on the floor by rounding, so
+        # slopes are clipped although no cell is dry
+        grid = Grid2D(-1.0, 1.0, 23, 8)
+        j, k = np.ogrid[:grid.n_y, :grid.n_zeta]
+        sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 1.0])
+        sol.U[..., 0] = np.array([6.5, 2.0, np.nextafter(0.5, 1.0)])[(j + k) % 3]
+        sol.U[..., 2] = 0.1 * sol.U[..., 0]
+        sol.B = ref2d.make_divergence_field(sol.U, grid, 2.0)
+        p = RefParams(g=1.0, h_min=0.5)
+        results, logs = [], []
+        for rows in (grid.n_y, 4):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mrswm.fv1d"):
+                results.append(rhs_in_windows(monkeypatch, sol, p, 2.0, rows)[0])
+            logs.append([r.getMessage() for r in caplog.records])
+        assert_same_rhs(*results)
+        # one warning per direction, each stencil row counted once
+        assert logs[0] == logs[1] == [
+            "clipped depth slope in 56 cell(s) to keep h above floor",
+            "clipped depth slope in 50 cell(s) to keep h above floor"]
+
+    def test_dry_cell_logs_clipping_then_raises(self, caplog):
+        grid = Grid2D(0.0, 1.0, 8, 6, boundary_y="outflow")
+        sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
+        sol.U[..., 0] = np.array([1.0, 1.0, 1.0, 0.8, 0.6, 0.1, 0.1, 0.1])[:, None]
+        with caplog.at_level(logging.WARNING, logger="mrswm.fv1d"):
+            with pytest.raises(DryStateError, match="face depth at or below floor"):
+                ref2d.rhs2d(sol, RefParams(g=1.0, h_min=0.5), 1.3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "clipped depth slope in 30 cell(s) to keep h above floor",
+            "clipped depth slope in 24 cell(s) to keep h above floor"]
 
 
 class TestLayout:
