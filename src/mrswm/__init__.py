@@ -2,7 +2,7 @@
 
 import logging
 
-from .closure import BasisSet, ClosureTensors, build_tensors, eval_profile, project_profile
+from .closure import ClosureTensors, basis_rows, build_tensors, eval_profile, project_profile
 from .errors import ConfigError, DryStateError, HyperbolicityError, SolverError
 
 __version__ = "0.1.0"
@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
-    "BasisSet",
     "ClosureTensors",
     "ConfigError",
     "DryStateError",
     "HyperbolicityError",
     "SolverError",
+    "basis_rows",
     "build_tensors",
     "eval_profile",
     "project_profile",

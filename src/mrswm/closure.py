@@ -1,10 +1,15 @@
 """Shifted-Legendre vertical basis and moment-closure tensors.
 
 Vertical profiles of velocity and magnetic field are expanded in scaled
-Legendre polynomials phi_l on [0, 1], normalized so that phi_l(0) = 1.
-With that normalization the basis satisfies
+Legendre polynomials phi_l(z) = P_l(1 - 2z) on [0, 1], normalized so that
+phi_l(0) = 1.  With that normalization the basis satisfies
 
     int_0^1 phi_i phi_j dz = delta_ij / (2i + 1),      phi_l(1) = (-1)**l.
+
+``basis_rows`` evaluates phi_0 .. phi_M by the three-term recurrence, in
+the dtype of z; the tensors, the Gauss rule, the projection and the
+profile evaluation all take their basis values from it, and the tensors
+take phi_l' and int_0^z phi_l from its rows.
 
 The moment fluxes and nonconservative coupling terms of the moment system
 are built from three tensors of basis products,
@@ -25,10 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as npoly
 
-#: Largest supported expansion order.  The basis is stored as monomial
-#: coefficients, which grow like 4**l and start losing digits past this.
+#: Largest supported expansion order: the closure tensors, the projection
+#: and the profile evaluation are checked against independent quadrature
+#: up to this order, and the moment system has 5 + 4M unknowns per cell.
 MAX_ORDER = 12
 
 
@@ -39,69 +44,38 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order {order} exceeds supported maximum {MAX_ORDER}")
 
 
-def _basis_coefficients(order: int) -> list[np.ndarray]:
-    """Monomial coefficients (lowest degree first) of phi_1 .. phi_order."""
-    t = np.array([-1.0, 2.0])  # t = 2*zeta - 1
-    legendre = [np.array([1.0]), t]
-    for n in range(1, order):
-        # (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}
-        nxt = npoly.polysub((2 * n + 1) * npoly.polymul(t, legendre[n]),
-                            n * legendre[n - 1]) / (n + 1)
-        legendre.append(nxt)
-    # sign-normalize so phi_l(0) = 1 (shifted Legendre has P_l(0) = (-1)**l)
-    return [(-1.0) ** l * legendre[l] for l in range(1, order + 1)]
+def basis_rows(order: int, zeta) -> np.ndarray:
+    """Rows phi_0 .. phi_order at ``zeta``, shape (order + 1,) + zeta.shape.
+
+    phi_l(z) = P_l(1 - 2z) by the three-term recurrence, whose terms stay
+    within 1 on [0, 1]; the rows keep a floating ``zeta``'s dtype (float64
+    for profiles, longdouble for quadrature), others become float64.  Any
+    z is accepted: the range check belongs to callers taking outside input.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    z = np.asarray(zeta)
+    if z.dtype.kind != "f":
+        z = z.astype(float)
+    p = np.ones((order + 1,) + z.shape, dtype=z.dtype)
+    if order:
+        p[1] = 1.0 - 2.0 * z
+    for l in range(2, order + 1):
+        # l P_l = (2l - 1) x P_{l-1} - (l - 1) P_{l-2}, with x = p[1]
+        p[l] = ((2 * l - 1) * p[1] * p[l - 1] - (l - 1) * p[l - 2]) / l
+    return p
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    """Scaled Legendre basis phi_1 .. phi_order on [0, 1] with phi_l(0) = 1."""
+def _derivative_rows(phi: np.ndarray) -> np.ndarray:
+    """phi_0' .. phi_M' from the rows of ``basis_rows``.
 
-    order: int
-    poly_coeffs: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, order: int) -> "BasisSet":
-        _check_order(order)
-        return cls(order=int(order), poly_coeffs=tuple(_basis_coefficients(order)))
-
-    def _coeffs(self, l: int) -> np.ndarray:
-        if not 1 <= l <= self.order:
-            raise IndexError(f"basis index {l} outside 1..{self.order}")
-        return self.poly_coeffs[l - 1]
-
-    def eval(self, l: int, zeta):
-        """Evaluate phi_l at zeta in [0, 1]."""
-        z = np.asarray(zeta, dtype=float)
-        if np.any(z < 0.0) or np.any(z > 1.0):
-            raise ValueError("zeta outside [0, 1]")
-        return npoly.polyval(z, self._coeffs(l))
-
-    def eval_deriv(self, l: int, zeta):
-        """Evaluate phi_l'."""
-        z = np.asarray(zeta, dtype=float)
-        return npoly.polyval(z, npoly.polyder(self._coeffs(l)))
-
-    def eval_antideriv(self, l: int, zeta):
-        """Evaluate int_0^zeta phi_l."""
-        z = np.asarray(zeta, dtype=float)
-        return npoly.polyval(z, npoly.polyint(self._coeffs(l)))
-
-    def eval_all(self, zeta) -> np.ndarray:
-        """phi_1..phi_order stacked along the leading axis, no range check."""
-        z = np.asarray(zeta, dtype=float)
-        if self.order == 0:
-            return np.zeros((0,) + z.shape)
-        return np.stack([npoly.polyval(z, c) for c in self.poly_coeffs])
-
-
-def _legendre_and_deriv(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence (any float dtype)."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+    P'_{l+1} = P'_{l-1} + (2l+1) P_l with phi_l' = -2 P_l'(1 - 2z): unlike
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), it has no division at z = 0, 1.
+    """
+    dphi = np.zeros_like(phi)
+    for l in range(1, len(phi)):
+        dphi[l] = (dphi[l - 2] if l > 1 else 0.0) - 2 * (2 * l - 1) * phi[l - 1]
+    return dphi
 
 
 def gauss_rule(n_points: int, extended: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -112,16 +86,15 @@ def gauss_rule(n_points: int, extended: bool = False) -> tuple[np.ndarray, np.nd
     the double-precision accuracy of the tabulated nodes.
     """
     x, w = npleg.leggauss(n_points)
-    if extended:
-        x = x.astype(np.longdouble)
-        for _ in range(3):
-            p, dp = _legendre_and_deriv(n_points, x)
-            x = x - p / dp
-        _, dp = _legendre_and_deriv(n_points, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        half = np.longdouble(0.5)
-        return half * (x + 1.0), half * w
-    return 0.5 * (x + 1.0), 0.5 * w
+    if not extended:
+        return 0.5 * (x + 1.0), 0.5 * w
+    z = np.longdouble(0.5) * (x.astype(np.longdouble) + 1.0)
+    for _ in range(3):
+        phi = basis_rows(n_points, z)
+        z = z - phi[n_points] / _derivative_rows(phi)[n_points]
+    dp = _derivative_rows(basis_rows(n_points, z))[n_points]
+    # the weights 2 / ((1 - x^2) P_n'(x)^2) on [-1, 1], mapped to [0, 1]
+    return z, 1.0 / (z * (1.0 - z) * dp * dp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +112,6 @@ class ClosureTensors:
     B: np.ndarray           # (M, M, M)
     Gamma: np.ndarray       # (M, M)
     phi_at_one: np.ndarray  # (M,)
-    basis: BasisSet
 
     def __post_init__(self):
         for arr in (self.A, self.B, self.Gamma, self.phi_at_one):
@@ -149,27 +121,24 @@ class ClosureTensors:
 def build_tensors(order: int) -> ClosureTensors:
     """Build the closure tensors for expansion order ``order`` (M >= 0)."""
     _check_order(order)
-    basis = BasisSet.build(order)
-    if order == 0:
-        empty3 = np.zeros((0, 0, 0))
-        return ClosureTensors(0, empty3, empty3.copy(), np.zeros((0, 0)),
-                              np.zeros(0), basis)
-
     # Exact for polynomial integrands of degree <= 3M (A is the worst case);
-    # evaluated in extended precision so the stored float64 entries are the
-    # correctly rounded exact rationals.
+    # evaluated in extended precision so the stored float64 entries are
+    # within one unit in the last place of the exact rationals, and exact
+    # zeros come out as round-off below 1e-16 (checked up to MAX_ORDER).
     z, w = gauss_rule(ceil((3 * order + 2) / 2) + 2, extended=True)
-    phi = np.stack([npoly.polyval(z, c) for c in basis.poly_coeffs])   # (M, npts)
-    dphi = np.stack([npoly.polyval(z, npoly.polyder(c)) for c in basis.poly_coeffs])
-    iphi = np.stack([npoly.polyval(z, npoly.polyint(c)) for c in basis.poly_coeffs])
+    rows = basis_rows(order + 1, z)                     # phi_0 .. phi_{M+1}
     scale = 2.0 * np.arange(1, order + 1).astype(np.longdouble) + 1.0
+    phi = rows[1:-1]                                    # (M, npts)
+    dphi = _derivative_rows(rows)[1:-1]
+    # int_0^z phi_l = (phi_{l-1} - phi_{l+1}) / (2 (2l+1))
+    iphi = (rows[:-2] - rows[2:]) / (2.0 * scale[:, None])
 
     A = scale[:, None, None] * np.einsum("p,ip,lp,np->iln", w, phi, phi, phi)
     B = scale[:, None, None] * np.einsum("p,ip,lp,np->iln", w, dphi, iphi, phi)
     Gamma = scale[:, None] * np.einsum("p,p,ip,lp->il", w, z, phi, dphi)
-    phi_at_one = basis.eval_all(np.array(1.0))
+    phi_at_one = basis_rows(order, 1.0)[1:]
     return ClosureTensors(int(order), A.astype(float), B.astype(float),
-                          Gamma.astype(float), phi_at_one, basis)
+                          Gamma.astype(float), phi_at_one)
 
 
 #: Gauss-Legendre points per panel of ``project_profile``, and the most
@@ -222,14 +191,7 @@ def project_profile(profile: Callable[[float], float], order: int,
 
     def panel(a: float, b: float) -> np.ndarray:
         z = a + (b - a) * nodes
-        # phi_l(z) = P_l(1 - 2z) by the three-term recurrence: its terms stay
-        # within 1, where monomial coefficients would cancel
-        p = np.ones((order + 1, z.size), dtype=np.longdouble)
-        if order:
-            p[1] = 1.0 - 2.0 * z
-        for l in range(2, order + 1):
-            p[l] = ((2 * l - 1) * p[1] * p[l - 1] - (l - 1) * p[l - 2]) / l
-        return (scale * p) @ ((b - a) * weights * sample(z))
+        return (scale * basis_rows(order, z)) @ ((b - a) * weights * sample(z))
 
     sample(np.array([0.0, 1.0]))    # the end points, which no node reaches
     total = np.zeros(order + 1, dtype=np.longdouble)
@@ -257,11 +219,11 @@ def project_profile(profile: Callable[[float], float], order: int,
 def eval_profile(mean: float, moments: Sequence[float], zeta):
     """Evaluate mean + sum_l moments[l-1] phi_l(zeta) for zeta in [0, 1]."""
     moments = np.asarray(moments, dtype=float)
-    basis = BasisSet.build(len(moments))
+    _check_order(len(moments))
     z = np.asarray(zeta, dtype=float)
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise ValueError("zeta outside [0, 1]")
-    out = np.full_like(z, float(mean), dtype=float)
-    for l in range(1, len(moments) + 1):
-        out = out + moments[l - 1] * basis.eval(l, z)
+    out = np.full_like(z, float(mean))
+    for m, phi in zip(moments, basis_rows(len(moments), z)[1:]):
+        out = out + m * phi
     return out if out.shape else float(out)

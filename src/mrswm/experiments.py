@@ -47,13 +47,13 @@ def _bump_height(y):
     return 1.0 + np.exp(3.0 * np.cos(np.pi * (np.asarray(y) + 0.5)) - 4.0)
 
 
-def _profile_from_case(case: str) -> Callable:
-    """v(zeta) for the bump examples: mean 1/4 minus 1/4 of one basis mode."""
+def _profile_from_case(case: str, mean: float) -> Callable:
+    """v(zeta) or hb(zeta) for the bump examples: ``mean`` minus 1/4 of one
+    basis mode, or the constant ``mean`` for the constant case."""
     k = _BUMP_MOMENT_OF_CASE[case]
     if k == 0:
-        return lambda z: 0.25 * np.ones_like(np.asarray(z, dtype=float))
-    basis = closure.BasisSet.build(k)
-    return lambda z: 0.25 - 0.25 * basis.eval(k, z)
+        return lambda z: mean * np.ones_like(np.asarray(z, dtype=float))
+    return lambda z: mean - 0.25 * closure.basis_rows(k, z)[k]
 
 
 def _sin_profile(z):
@@ -98,16 +98,11 @@ def make_spec(example: int, case: str) -> ExperimentSpec:
     if example in (1, 2):
         if case not in BUMP_CASES:
             raise ValueError(f"example {example} has cases {BUMP_CASES}, got {case!r}")
-        v_prof = _profile_from_case(case)
+        v_prof = _profile_from_case(case, 0.25)
         if example == 1:
             hb_prof = lambda z: np.zeros_like(np.asarray(z, dtype=float))
         else:
-            k = _BUMP_MOMENT_OF_CASE[case]
-            if k == 0:
-                hb_prof = lambda z: 1.1 * np.ones_like(np.asarray(z, dtype=float))
-            else:
-                basis = closure.BasisSet.build(k)
-                hb_prof = lambda z, b=basis, k=k: 1.1 - 0.25 * b.eval(k, z)
+            hb_prof = _profile_from_case(case, 1.1)
         return ExperimentSpec(
             example=example, case=case, y_min=-1.0, y_max=1.0,
             n_cells=200, n_zeta=100,

@@ -318,11 +318,13 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
                      quad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """One-sided speed bounds s-, s+ for a batch of interfaces.
 
-    s+ = max(spectrum(left), spectrum(right), 0) and s- the analogous
-    minimum; eigenvalues with small imaginary parts are projected onto the
-    real axis, and the worst contamination ratio max|Im| / max|Re| over
-    the states is returned for logging.  A ratio above ``tol_im`` raises
-    HyperbolicityError, located at (interface index, "left" or "right").
+    s+ = max(Re spectrum(left), Re spectrum(right), 0) and s- the
+    analogous minimum.  While a state's ratio max|Im| / max|Re| is at most
+    ``tol_im``, its bounds use the real parts alone: the imaginary parts
+    neither widen them (as Re +- |Im| would) nor fail the step.  The worst
+    ratio over the states is returned for logging; a ratio above
+    ``tol_im`` raises HyperbolicityError, located at (interface index,
+    "left" or "right").
     ``quad`` is the quadratic flux of the left states followed by the
     right ones, when the caller has it.
     """

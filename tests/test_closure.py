@@ -1,9 +1,12 @@
 """Basis and closure-tensor tests against an independent quadrature oracle.
 
 The oracle builds the basis through numpy's Legendre class mapped to
-[0, 1] (a construction path disjoint from the monomial recurrence in the
-package) and integrates every tensor entry with a 200-node Gauss rule.
+[0, 1] (Clenshaw summation of a Legendre series, a construction path
+disjoint from the package's three-term recurrence) and integrates every
+tensor entry with a 200-node Gauss rule.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -53,62 +56,86 @@ def oracle_tensors(order, n_nodes=200):
 
 class TestBasis:
     def test_normalization_at_zero(self):
-        basis = closure.BasisSet.build(6)
+        phi = closure.basis_rows(6, 0.0)
         for l in range(1, 7):
-            assert basis.eval(l, 0.0) == pytest.approx(1.0, abs=1e-13)
+            assert phi[l] == pytest.approx(1.0, abs=1e-13)
 
     def test_first_basis_values(self):
-        basis = closure.BasisSet.build(3)
-        assert basis.eval(1, 0.0) == pytest.approx(1.0)
-        assert basis.eval(1, 0.5) == pytest.approx(0.0, abs=1e-15)
-        assert basis.eval(2, 0.5) == pytest.approx(-0.5)
+        phi = closure.basis_rows(3, np.array([0.0, 0.5]))
+        assert phi[1, 0] == pytest.approx(1.0)
+        assert phi[1, 1] == pytest.approx(0.0, abs=1e-15)
+        assert phi[2, 1] == pytest.approx(-0.5)
 
     def test_cubic_polynomial_coefficients(self):
-        basis = closure.BasisSet.build(3)
-        np.testing.assert_allclose(basis.poly_coeffs[2], [1.0, -12.0, 30.0, -20.0],
-                                   atol=1e-12)
+        # phi_3 = 1 - 12z + 30z^2 - 20z^3, checked through its values
+        z = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(closure.basis_rows(3, z)[3],
+                                   1.0 - 12.0 * z + 30.0 * z ** 2 - 20.0 * z ** 3,
+                                   rtol=0, atol=1e-14)
 
     def test_degree(self):
-        basis = closure.BasisSet.build(8)
+        # phi_l has degree exactly l: on l + 2 equispaced points its
+        # (l+1)-th difference vanishes, and on l + 1 points its l-th
+        # difference is l! h^l times the leading coefficient (-1)^l C(2l, l)
         for l in range(1, 9):
-            assert len(basis.poly_coeffs[l - 1]) == l + 1
-            assert basis.poly_coeffs[l - 1][-1] != 0.0
+            over = np.diff(closure.basis_rows(l, np.linspace(0.0, 1.0, l + 2))[l], l + 1)
+            assert abs(over[0]) < 1e-12
+            step = np.diff(closure.basis_rows(l, np.linspace(0.0, 1.0, l + 1))[l], l)
+            lead = (-1) ** l * math.comb(2 * l, l)
+            assert step[0] == pytest.approx(math.factorial(l) * lead / l ** l, rel=1e-12)
 
     def test_orthogonality(self):
-        basis = closure.BasisSet.build(6)
         z, w = closure.gauss_rule(40)
-        phi = basis.eval_all(z)
+        phi = closure.basis_rows(6, z)[1:]
         gram = np.einsum("p,ip,jp->ij", w, phi, phi)
         expected = np.diag(1.0 / (2.0 * np.arange(1, 7) + 1.0))
         np.testing.assert_allclose(gram, expected, atol=1e-14)
 
     def test_matches_oracle_basis(self):
-        basis = closure.BasisSet.build(closure.MAX_ORDER)
         z = np.linspace(0.0, 1.0, 57)
+        phi = closure.basis_rows(closure.MAX_ORDER, z)
         for l in range(1, closure.MAX_ORDER + 1):
-            np.testing.assert_allclose(basis.eval(l, z), oracle_phi(l)(z),
-                                       atol=1e-10)
+            np.testing.assert_allclose(phi[l], oracle_phi(l)(z), rtol=0, atol=1e-14)
+
+    def test_matches_longdouble_evaluation(self):
+        # float64 rows against the oracle's Legendre series evaluated in
+        # longdouble, on 20,001 points (6.4e-15 measured at order 12)
+        z = np.linspace(0.0, 1.0, 20001)
+        phi = closure.basis_rows(closure.MAX_ORDER, z)
+        for l in range(closure.MAX_ORDER + 1):
+            exact = oracle_phi(l)(z.astype(np.longdouble))
+            assert exact.dtype == np.longdouble
+            np.testing.assert_allclose(phi[l], exact.astype(float), rtol=0, atol=1e-14)
+
+    def test_rows_keep_dtype(self):
+        for dtype in (np.float64, np.longdouble):
+            z = np.linspace(0.0, 1.0, 5, dtype=dtype)
+            assert closure.basis_rows(4, z).dtype == dtype
+        assert closure.basis_rows(2, [0, 1]).dtype == np.float64
 
     def test_rejects_bad_index_and_range(self):
-        basis = closure.BasisSet.build(3)
-        with pytest.raises(IndexError):
-            basis.eval(4, 0.5)
-        with pytest.raises(IndexError):
-            basis.eval(0, 0.5)
+        # rows run phi_0 = 1 .. phi_order, no further
+        phi = closure.basis_rows(3, np.array([0.2, 0.5]))
+        assert phi.shape == (4, 2)
+        np.testing.assert_array_equal(phi[0], 1.0)
         with pytest.raises(ValueError):
-            basis.eval(1, 1.5)
+            closure.eval_profile(0.0, [1.0], 1.5)
         with pytest.raises(ValueError):
-            basis.eval(1, -0.1)
+            closure.eval_profile(0.0, [1.0], -0.1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            closure.BasisSet.build(-1)
+            closure.basis_rows(-1, 0.5)
         with pytest.raises(ValueError):
-            closure.BasisSet.build(closure.MAX_ORDER + 1)
+            closure.basis_rows(1.5, 0.5)
+        with pytest.raises(ValueError):
+            closure.eval_profile(0.0, np.zeros(closure.MAX_ORDER + 1), 0.5)
+        with pytest.raises(ValueError):
+            closure.build_tensors(closure.MAX_ORDER + 1)
 
 
 class TestTensors:
-    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("order", range(1, closure.MAX_ORDER + 1))
     def test_matches_200_node_oracle(self, order):
         t = closure.build_tensors(order)
         A, B, G = oracle_tensors(order)
@@ -128,12 +155,14 @@ class TestTensors:
 
     def test_antiderivative_pairing_identity(self):
         # int phi_i' (int_0^z phi_n) dz = -delta_in / (2i+1)
-        t = closure.build_tensors(5)
+        # with phi_l' and int_0^z phi_l from the rows, as build_tensors takes them
         z, w = closure.gauss_rule(64)
-        basis = t.basis
+        rows = closure.basis_rows(6, z)
+        dphi = closure._derivative_rows(rows)
         for i in range(1, 6):
             for n in range(1, 6):
-                val = np.sum(w * basis.eval_deriv(i, z) * basis.eval_antideriv(n, z))
+                iphi = (rows[n - 1] - rows[n + 1]) / (2 * (2 * n + 1))
+                val = np.sum(w * dphi[i] * iphi)
                 expect = -1.0 / (2 * i + 1) if i == n else 0.0
                 assert val == pytest.approx(expect, abs=1e-14)
 
@@ -341,8 +370,8 @@ class TestGaussProjection:
 
     @pytest.mark.parametrize("amplitude", [1.0, 1e4, 1e12])
     def test_every_order(self, amplitude):
-        # up to MAX_ORDER, where monomial-form phi_l would cancel, and for
-        # profiles too large for an absolute 1e-12 against their rounding
+        # up to MAX_ORDER, and for profiles too large for an absolute 1e-12
+        # against their rounding
         order = closure.MAX_ORDER
         z, w = oracle_gauss(200)
         exact = np.array([np.sum(w * np.exp(z))]
@@ -358,21 +387,28 @@ class TestGaussProjection:
 
 
 @settings(max_examples=40, deadline=None)
-@given(order=st.integers(0, 6),
-       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7))
+@given(order=st.integers(0, closure.MAX_ORDER),
+       coeffs=st.lists(st.floats(-10.0, 10.0), min_size=closure.MAX_ORDER + 1,
+                       max_size=closure.MAX_ORDER + 1))
 def test_projection_round_trip(order, coeffs):
-    # eval_profile sums monomial-form phi_l in double precision, which
-    # loses ~1e-13 to cancellation at order 6
     mean, moments = coeffs[0], np.array(coeffs[1:order + 1])
     got_mean, got_moments = closure.project_profile(
         lambda z: closure.eval_profile(mean, moments, z), order)
-    assert got_mean == pytest.approx(mean, abs=1e-12)
-    np.testing.assert_allclose(got_moments, moments, rtol=0, atol=1e-12)
+    assert got_mean == pytest.approx(mean, abs=1e-13)
+    np.testing.assert_allclose(got_moments, moments, rtol=0, atol=1e-13)
+
+
+def test_round_trip_at_max_order():
+    rng = np.random.default_rng(12)
+    mean, moments = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, closure.MAX_ORDER)
+    got_mean, got_moments = closure.project_profile(
+        lambda z: closure.eval_profile(mean, moments, z), closure.MAX_ORDER)
+    assert got_mean == pytest.approx(mean, abs=1e-13)
+    np.testing.assert_allclose(got_moments, moments, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
-@given(order=st.integers(1, 8), zeta=st.floats(0.0, 1.0))
+@given(order=st.integers(1, closure.MAX_ORDER), zeta=st.floats(0.0, 1.0))
 def test_eval_matches_oracle_pointwise(order, zeta):
-    basis = closure.BasisSet.build(order)
-    assert basis.eval(order, zeta) == pytest.approx(
-        float(oracle_phi(order)(zeta)), abs=1e-11)
+    assert closure.basis_rows(order, zeta)[order] == pytest.approx(
+        float(oracle_phi(order)(zeta)), abs=1e-14)

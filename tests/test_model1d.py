@@ -391,6 +391,19 @@ class TestLocalSpeeds:
                 U = random_states(rng, 1, 1, mag=2.0)[0]
                 local_speeds(U, U, p)
 
+    def test_bounds_use_real_parts_below_tol_im(self):
+        # a complex pair sets the smallest real part, with |Im|/|Re| of
+        # 0.068 under tol_im = 0.1: s- is that real part, not Re - |Im|
+        p = params_for(2)
+        U = np.array([[1.0, -0.33, 1.06, 0.89, 0.32, -0.83, 0.12, -0.24, -1.97,
+                       -0.84, -1.92, -1.54, -1.13]])
+        lam = model1d.eigenvalues(U, p)
+        sm, sp_, ratio = model1d.interface_speeds(U, U, p)
+        assert 0.0 < ratio < p.tol_im
+        assert lam.real.min() > (lam.real - np.abs(lam.imag)).min()
+        assert sm[0] == min(lam.real.min(), 0.0)
+        assert sp_[0] == max(lam.real.max(), 0.0)
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_hyperbolicity_error_names_interface_and_side(self, side):
         p = params_for(1, tol_im=1e-6)
@@ -449,6 +462,32 @@ class TestElsasserSymmetry:
         np.testing.assert_allclose(sm_f, sm, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(sp_f, sp_, rtol=0, atol=1e-13 * scale)
         assert ratio_f == pytest.approx(ratio, rel=1e-13, abs=1e-13)
+
+
+class TestOrderNesting:
+    """An order-M state padded with zero moment blocks keeps the order-M
+    flux and Q in its leading rows and block.  The speeds are not compared:
+    nonzero lower moments excite the padded ones through A and B, so the
+    padded spectrum differs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(0, 2), pad=st.integers(1, 2),
+           seed=st.integers(0, 2**32 - 1), h=st.floats(0.1, 3.0),
+           amp=st.floats(0.01, 2.0))
+    def test_zero_padding(self, order, pad, seed, h, amp):
+        rng = np.random.default_rng(seed)
+        small, big = params_for(order), params_for(order + pad)
+        n = model1d.n_vars(order)
+        U = np.empty(n)
+        U[0] = h
+        U[1:] = amp * h * rng.normal(size=n - 1)
+        U_pad = np.concatenate([U, np.zeros(4 * pad)])
+        G = model1d.flux_g(U, small)
+        np.testing.assert_allclose(model1d.flux_g(U_pad, big)[:n], G, rtol=0,
+                                   atol=1e-13 * np.abs(G).max())
+        Q = model1d.noncons_q(U, small)
+        np.testing.assert_allclose(model1d.noncons_q(U_pad, big)[:n, :n], Q, rtol=0,
+                                   atol=1e-13 * max(np.abs(Q).max(), 1.0))
 
 
 class TestReductionStructure:
