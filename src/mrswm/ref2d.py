@@ -5,14 +5,19 @@ Evolves the mapped conservative fields U = (h, hu, hv, ha, hb) on
 exact path integrals for the magnetic-divergence coupling, which acts
 through the vector -(a, b, u, v) times [(hb)_y + (hC)_zeta].
 
-The vertical transport operators are algebraic, not evolved: omega is
-reconstructed from the central-upwind depth fluxes so the discrete depth
-update is uniform in zeta, and the magnetic coupling hC is the running
-depth sum of the limited divergence field.  A scalar field B ~ (hb)_y is
-evolved alongside U (first-order accuracy suffices, it only feeds slopes)
-and blended into the y-reconstruction of hb through the consistency
-factor sigma, which makes the cell-wise y-slope of hb and zeta-slope of
-hC cancel exactly: the scheme is locally divergence-free by construction.
+The total depth h has no vertical structure.  It is stored in every
+layer of a column but holds one value there: ``Solution2D`` rejects a
+depth that varies in zeta, and every layer's depth rate is the column
+value -(h v_m)_y, so the elementwise SSP-RK3 stages keep h uniform bit
+for bit.  The vertical transport operators are algebraic, not evolved:
+omega is reconstructed from the central-upwind depth fluxes so that the
+zeta transport agrees with that depth rate, and the magnetic coupling hC
+is the running depth sum of the limited divergence field.  A scalar
+field B ~ (hb)_y is evolved alongside U (first-order accuracy suffices,
+it only feeds slopes) and blended into the y-reconstruction of hb
+through the consistency factor sigma, which makes the cell-wise y-slope
+of hb and zeta-slope of hC cancel exactly: the scheme is locally
+divergence-free by construction.
 
 Wave speeds are closed-form: v +- sqrt(b^2 + g h) in y and
 omega +- |C| in zeta; the vertical flux vanishes identically at the
@@ -33,8 +38,7 @@ them, so every element of the result is bit-for-bit what one window over
 the strip gives.  Beyond an outflow end the ghost omega is a copy of the
 edge row's, not one computed from the copied rows of U.
 The speeds and the divergence residual are maxima over the windows; the
-clipped depth slopes are counted once per stencil row and logged once
-per direction.
+clipped y depth slopes are counted once per stencil row and logged once.
 """
 
 from __future__ import annotations
@@ -44,11 +48,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DryStateError
 from .fv1d import (RunStats, StepDiagnostics, _cell_weights, _interface_weights,
                    clip_depth_slope, cu_flux_from_values, fill_ghosts, integrate,
                    limited_slope, warn_clipped)
-from .model1d import DEFAULT_H_MIN, _zero_fn, source_s
+from .model1d import DEFAULT_H_MIN, _zero_fn, check_valid, source_s
 
 #: Cells (rows x n_zeta) in one window of ``rhs2d``: about 100 rows at
 #: n_zeta = 100, so that each temporary of a window stays in the L2 cache.
@@ -105,7 +108,8 @@ class RefParams:
 
 @dataclass
 class Solution2D:
-    """Cell averages of (h, hu, hv, ha, hb) plus the divergence field B."""
+    """Cell averages of (h, hu, hv, ha, hb) plus the divergence field B;
+    h holds one value per column."""
 
     grid: Grid2D
     U: np.ndarray            # (n_y, n_zeta, 5), stored component-first
@@ -118,6 +122,14 @@ class Solution2D:
         # along rows of n_zeta.  ufuncs keep that order through the rhs and
         # the stages; an input in any other order is copied once.
         self.U = np.moveaxis(np.ascontiguousarray(np.moveaxis(self.U, -1, 0)), 0, -1)
+        h = self.U[..., 0]
+        # a non-finite column spreads by NaN and is left to check_valid
+        varies = h.max(axis=1) - h.min(axis=1) > 0.0
+        if np.any(varies):
+            j = int(np.argmax(varies))
+            raise ValueError(f"depth varies in zeta in column {j} (from "
+                             f"{h[j].min():.6g} to {h[j].max():.6g}); the "
+                             "reference holds one depth per column")
 
     def __reduce__(self):
         # pickle restores __dict__ without __post_init__, and numpy pickles
@@ -125,11 +137,9 @@ class Solution2D:
         return type(self), (self.grid, self.U, self.B, self.time)
 
 
-def flux_y(U: np.ndarray, g: float, h_min: float = DEFAULT_H_MIN) -> np.ndarray:
+def flux_y(U: np.ndarray, g: float) -> np.ndarray:
     """Horizontal flux G(U) of the reference system."""
     h = U[..., 0]
-    if np.any(h <= h_min):
-        raise DryStateError("depth at or below floor in flux evaluation")
     u, v, b = (U[..., k] / h for k in (1, 2, 4))
     G = np.zeros_like(U)
     G[..., 0] = U[..., 2]
@@ -164,34 +174,32 @@ def sigma_factor(minmod_slope_hb: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.where(agree, np.minimum(1.0, minmod_slope_hb / safe_b), 0.0)
 
 
-def coupling_omega(h_up: np.ndarray, h_down: np.ndarray, flux_h: np.ndarray,
-                   dy: float, dzeta: float) -> np.ndarray:
-    """Vertical velocity transport omega at all zeta-interfaces.
+def coupling_omega(h: np.ndarray, flux_h: np.ndarray, dy: float,
+                   dzeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertical velocity transport omega at all zeta-interfaces, and the
+    column mean hvm_y of the depth-flux divergence.
 
-    ``h_up``/``h_down`` are the upper/lower face depths per cell (n_y, n_z)
-    and ``flux_h`` the central-upwind depth fluxes at the y-interfaces
-    (n_y + 1, n_z).  The running depth sum is built so the resulting
-    discrete depth update is the column mean of the flux divergence,
-    keeping h uniform in zeta; omega vanishes at zeta = 0 and 1 (the
-    telescoping sum makes the top value zero to round-off; it is forced).
+    ``h`` holds the depth of each column (n_y,) and ``flux_h`` the
+    central-upwind depth fluxes at the y-interfaces (n_y + 1, n_z).
+    omega vanishes at zeta = 0 and 1 (the telescoping sum makes the top
+    value zero to round-off; it is forced).
 
-    Why the update is the column mean: while h is the same in every cell
-    of a column, its limited zeta slopes vanish, both sides of a zeta
-    interface k+1/2 carry that h, and the central-upwind depth flux there
-    reduces to h omega_{k+1/2} = partial_k, since omega divides 2 partial_k
-    by the sum of those two face depths.  The depth has no source and no
-    nonconservative product, so cell k's depth update is
-    -flux_div_k - (partial_k - partial_{k-1}) / dzeta
-    = -flux_div_k - (hvm_y - flux_div_k) = -hvm_y, the same in every layer.
+    Why the depth rate is -hvm_y, set directly in every layer: both sides
+    of a zeta interface k+1/2 carry the column's h, so the central-upwind
+    depth flux there reduces to h omega_{k+1/2} = partial_k, the running
+    sum of dzeta (hvm_y - flux_div).  The depth has no source and no
+    nonconservative product, so layer k's depth update through the zeta
+    fluxes is -flux_div_k - (partial_k - partial_{k-1}) / dzeta
+    = -flux_div_k - (hvm_y - flux_div_k) = -hvm_y, the same in every
+    layer.  ``rhs2d`` takes that value itself, which keeps h one value
+    per column bit for bit; the zeta fluxes give it only to round-off.
     """
-    n_y, n_z = h_up.shape
     flux_div = (flux_h[1:] - flux_h[:-1]) / dy            # (n_y, n_z)
     hvm_y = dzeta * flux_div.sum(axis=1)                  # (n_y,)
     partial = np.cumsum(dzeta * (hvm_y[:, None] - flux_div), axis=1)
-    omega = np.zeros((n_y, n_z + 1))
-    denom = h_down[:, 1:] + h_up[:, :-1]
-    omega[:, 1:-1] = 2.0 * partial[:, :-1] / denom
-    return omega
+    omega = np.zeros((len(h), flux_div.shape[1] + 1))
+    omega[:, 1:-1] = partial[:, :-1] / h[:, None]
+    return omega, hvm_y
 
 
 def coupling_c(sigma_b: np.ndarray, dzeta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -226,12 +234,12 @@ class Reconstruction2D:
     """Limited reconstruction on a run of rows of the strip.
 
     The hb component of ``slope_y`` is the divergence slope sigma * B; the
-    depth slopes are clipped to keep every face depth above the floor.
+    depth slopes in y are clipped to keep every face depth above the
+    floor.  The depth has no zeta slope: its faces in zeta are its average.
     """
 
     u_bar: np.ndarray      # (rows, n_zeta, 5) cell averages
     slope_y: np.ndarray    # (rows, n_zeta, 5)
-    slope_z: np.ndarray    # (rows, n_zeta, 5)
     north: np.ndarray      # (rows, n_zeta, 5) face values at y + dy/2
     south: np.ndarray      # ... at y - dy/2
     up: np.ndarray         # ... at zeta + dzeta/2
@@ -239,39 +247,24 @@ class Reconstruction2D:
 
 
 def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefParams,
-                 theta: float) -> tuple[Reconstruction2D, np.ndarray, np.ndarray]:
+                 theta: float) -> tuple[Reconstruction2D, np.ndarray]:
     """Face values on the rows of ``ext`` inside its first and last row,
-    where ``b_bar`` holds B; also the masks of the clipped y and zeta depth
-    slopes."""
+    where ``b_bar`` holds B; also the mask of the clipped y depth slopes."""
     dy, dz = grid.dy, grid.dzeta
     mid = ext[1:-1]
     sy = limited_slope(ext, dy, theta)
     sy[..., 4] = sigma_factor(sy[..., 4], b_bar) * b_bar
     clip_y = clip_depth_slope(mid, sy, dy, params.h_min)
 
-    ext_z = np.concatenate([mid[:, :1], mid, mid[:, -1:]], axis=1)
-    sz = limited_slope(ext_z, dz, theta, axis=1)
-    clip_z = clip_depth_slope(mid, sz, dz, params.h_min)
-
     half = 0.5 * dy * sy
     north, south = mid + half, mid - half
-    np.multiply(0.5 * dz, sz, out=half)
-    rec = Reconstruction2D(u_bar=mid, slope_y=sy, slope_z=sz, north=north,
-                           south=south, up=mid + half, down=mid - half)
-    return rec, clip_y, clip_z
-
-
-def reconstruct2d(solution: Solution2D, params: RefParams,
-                  theta: float) -> Reconstruction2D:
-    """Limited piecewise-linear face values in both directions on the
-    n_y + 2 rows with one ghost row per side."""
-    grid = solution.grid
-    rec, clip_y, clip_z = _reconstruct(fill_ghosts(solution.U, grid.boundary_y),
-                                       fill_ghosts(solution.B, grid.boundary_y, 1),
-                                       grid, params, theta)
-    warn_clipped(clip_y.sum())
-    warn_clipped(clip_z.sum())
-    return rec
+    chi = mid[..., 1:]                                     # (hu, hv, ha, hb)
+    ext_z = np.concatenate([chi[:, :1], chi, chi[:, -1:]], axis=1)
+    np.multiply(0.5 * dz, limited_slope(ext_z, dz, theta, axis=1), out=half[..., 1:])
+    half[..., 0] = 0.0
+    rec = Reconstruction2D(u_bar=mid, slope_y=sy, north=north, south=south,
+                           up=mid + half, down=mid - half)
+    return rec, clip_y
 
 
 def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
@@ -279,11 +272,11 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     (see the module docstring)."""
     grid = solution.grid
     n_y, n_z = grid.n_y, grid.n_zeta
-    # A face depth falls to the floor exactly where a cell depth does: a
-    # clipped cell's faces are its average, the others' stay above it.
+    # The windows check no depth: a face depth falls to the floor exactly
+    # where a cell depth does (a clipped cell's faces are its average, the
+    # others' stay above it), so this check covers every face.
     if np.any(solution.U[..., 0] <= params.h_min):
-        reconstruct2d(solution, params, theta)                 # logs the clipping
-        raise DryStateError("face depth at or below floor")
+        check_valid(solution.U, params.h_min, solution.time)
     ext = fill_ghosts(solution.U, grid.boundary_y, HALO)       # (n_y+6, n_z, 5)
     B_ext = fill_ghosts(solution.B, grid.boundary_y, HALO)
     y = grid.y_centers()
@@ -300,7 +293,6 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                                dudt[a:b], dbdt[a:b]))
     stats = np.array(stats)
     warn_clipped(stats[:, 3].sum())
-    warn_clipped(stats[:, 4].sum())
     max_speed_y, max_speed_z, div_residual = map(float, stats[:, :3].max(axis=0))
     b_scale = np.abs(solution.B).max()
     return Rhs2DResult(dudt=dudt, dbdt=dbdt, max_speed_y=max_speed_y,
@@ -319,17 +311,18 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     ``ext`` and ``B_ext`` hold U and B on rows a-3 .. b+2, and ``edges``
     says whether a and b are the ends of the strip.  Returns the window's
     maxima of the y and zeta speeds and of the divergence residual, and
-    the numbers of clipped y and zeta depth slopes on its stencil rows:
-    a .. b-1, and the ghost row beyond an end of the strip.
+    the number of clipped y depth slopes on its stencil rows: a .. b-1,
+    and the ghost row beyond an end of the strip.
     """
     dy, dz = grid.dy, grid.dzeta
     n, n_z = dudt.shape[:2]
     g = params.g
 
     B_mid = B_ext[1:-1]
-    rec, clip_y, clip_z = _reconstruct(ext, B_mid, grid, params, theta)
+    rec, clip_y = _reconstruct(ext, B_mid, grid, params, theta)
     own = slice(1 if edges[0] else 2, -1 if edges[1] else -2)
     mid, sy = rec.u_bar, rec.slope_y                      # rows a-2 .. b+1
+    h = mid[:, 0, 0]                                      # the column depths
     real = slice(2, -2)
 
     # --- horizontal central-upwind fluxes ---------------------------------
@@ -346,45 +339,38 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     lo_r, hi_r = wave(R)
     sp_y = np.maximum(np.maximum(hi_l, hi_r), 0.0)
     sm_y = np.minimum(np.minimum(lo_l, lo_r), 0.0)
-    Gf = cu_flux_from_values(flux_y(L, g, params.h_min), flux_y(R, g, params.h_min),
-                             L, R, sm_y, sp_y)
+    Gf = cu_flux_from_values(flux_y(L, g), flux_y(R, g), L, R, sm_y, sp_y)
 
     # --- vertical transport operators -------------------------------------
     # omega on rows a-1 .. b, for the B update's y-slope of omega
-    omega = coupling_omega(rec.up[1:-1, :, 0], rec.down[1:-1, :, 0], Gf[..., 0],
-                           dy, dz)
+    omega, hvm_y = coupling_omega(h[1:-1], Gf[..., 0], dy, dz)
     hc_face_all, hc_cen_all = coupling_c(sy[1:-1, :, 4], dz)  # rows a-1 .. b
     hc_face = hc_face_all[1:-1]
     sigma_b = sy[real, :, 4]                                   # sigma * B
     L, R, sp_y, sm_y = L[1:-1], R[1:-1], sp_y[1:-1], sm_y[1:-1]
 
     # --- vertical central-upwind fluxes -----------------------------------
-    h_up = rec.up[real, :, 0]
-    h_down = rec.down[real, :, 0]
     om_int = omega[1:-1, 1:-1]                             # (n, n_z-1)
-    c_up = hc_face[:, 1:-1] / h_up[:, :-1]
-    c_dn = hc_face[:, 1:-1] / h_down[:, 1:]
+    c = hc_face[:, 1:-1] / h[real, None]
     up = rec.up[real, :-1]
     dn = rec.down[real, 1:]
-    sp_z = np.maximum(np.maximum(om_int + np.abs(c_up), om_int + np.abs(c_dn)), 0.0)
-    sm_z = np.minimum(np.minimum(om_int - np.abs(c_up), om_int - np.abs(c_dn)), 0.0)
+    sp_z = np.maximum(om_int + np.abs(c), 0.0)
+    sm_z = np.minimum(om_int - np.abs(c), 0.0)
     Hf = np.moveaxis(np.empty((5, n, n_z + 1)), 0, -1)   # the state's layout
     Hf[:, [0, -1]] = 0.0
-    cu_flux_from_values(flux_zeta(up, om_int, c_up), flux_zeta(dn, om_int, c_dn),
+    cu_flux_from_values(flux_zeta(up, om_int, c), flux_zeta(dn, om_int, c),
                         up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
 
     # --- nonconservative products ------------------------------------------
     # weights of (hu, hv, ha, hb), a contiguous block of the component axis
     U_real = mid[real]
     sy_real = sy[real]
-    sz_real = rec.slope_z[real]
     Qy_cell = _gp_rows(_cell_weights(U_real[..., 0], sy_real[..., 0],
                                      U_real[..., 1:], sy_real[..., 1:], dy), sigma_b)
     Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L[..., 1:], R[..., 1:]),
                      R[..., 4] - L[..., 4])
-    # full weights: h is uniform in zeta only to round-off (zeta depth slopes can be nonzero)
-    Qz_cell = _gp_rows(_cell_weights(U_real[..., 0], sz_real[..., 0],
-                                     U_real[..., 1:], sz_real[..., 1:], dz), -sigma_b)
+    # with no depth slope in zeta the cell's path weight is chi dzeta / h
+    Qz_cell = _gp_rows(U_real[..., 1:] * (dz / h[real])[:, None, None], -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
 
     width_y = sp_y - sm_y
@@ -392,21 +378,24 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     cl = np.where(width_y > 0.0, sp_y / safe_y, 0.0)[..., None]
     cr = np.where(width_y > 0.0, sm_y / safe_y, 0.0)[..., None]
 
-    # dudt = -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
-    Gf = Gf[1:-1]
-    np.subtract(Gf[1:], Gf[:-1], out=dudt)
-    dudt -= Qy_cell
+    # the depth rate is the column value -hvm_y in every layer (coupling_omega);
+    # (hu, hv, ha, hb): -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
+    dudt[..., 0] = -hvm_y[1:-1, None]
+    du = dudt[..., 1:]
+    Gf = Gf[1:-1, :, 1:]
+    np.subtract(Gf[1:], Gf[:-1], out=du)
+    du -= Qy_cell
     tmp = np.multiply(cl[:-1], Qy_if[:-1], out=Qy_cell)
-    dudt -= tmp
+    du -= tmp
     np.multiply(cr[1:], Qy_if[1:], out=tmp)
-    dudt += tmp
-    np.negative(dudt, out=dudt)
-    dudt /= dy
-    np.subtract(Hf[:, 1:], Hf[:, :-1], out=tmp)
+    du += tmp
+    np.negative(du, out=du)
+    du /= dy
+    np.subtract(Hf[:, 1:, 1:], Hf[:, :-1, 1:], out=tmp)
     tmp -= Qz_cell
     tmp /= dz
-    dudt -= tmp
-    dudt += source_s(U_real, f)
+    du -= tmp
+    du += source_s(U_real, f)[..., 1:]
 
     # --- divergence-field evolution (first-order fluxes) --------------------
     v_mid = mid[1:-1, :, 2] / mid[1:-1, :, 0]              # rows a-1 .. b
@@ -439,20 +428,19 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
 
     slope_hc = (hc_face[:, 1:] - hc_face[:, :-1]) / dz
     return (np.maximum(sp_y, -sm_y).max(), np.maximum(sp_z, -sm_z).max(),
-            np.abs(sigma_b + slope_hc).max(), clip_y[own].sum(), clip_z[own].sum())
+            np.abs(sigma_b + slope_hc).max(), clip_y[own].sum())
 
 
 def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Godunov-Powell contributions -(a, b, u, v) * integral per row,
-    stored component-first like the state.
+    """Godunov-Powell contributions -(a, b, u, v) * integral to the rows
+    (hu, hv, ha, hb), stored component-first like the state.
 
     ``W`` holds int chi/h for chi = (hu, hv, ha, hb) in its last axis and
     ``grad`` the slope or jump of the divergence carrier.
     """
-    out = np.moveaxis(np.empty((5,) + grad.shape), 0, -1)
-    out[..., 0] = 0.0
+    out = np.moveaxis(np.empty((4,) + grad.shape), 0, -1)
     neg = -grad
-    for row, k in ((1, 2), (2, 3), (3, 0), (4, 1)):    # rows hu, hv, ha, hb
+    for row, k in enumerate((2, 3, 0, 1)):
         np.multiply(W[..., k], neg, out=out[..., row])
     return out
 

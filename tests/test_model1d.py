@@ -464,6 +464,51 @@ class TestElsasserSymmetry:
         assert ratio_f == pytest.approx(ratio, rel=1e-13, abs=1e-13)
 
 
+def reflection_flip(order):
+    """Signs that flip hv_m, hb_m, h beta_i and h eta_i and keep the rest."""
+    P = np.ones(model1d.n_vars(order))
+    P[[model1d.HV, model1d.HB]] = -1.0
+    for i in range(1, order + 1):
+        P[[model1d.moment_index(i, model1d.BETA),
+           model1d.moment_index(i, model1d.ETA)]] = -1.0
+    return P
+
+
+class TestReflectionSymmetry:
+    """The reflection y -> -y maps solutions to solutions: with P the sign
+    flip of every y-directed component, G(PU) = -P G(U),
+    Q(PU) = -P Q(U) P, the mirrored interface (PU_r, PU_l) has the speed
+    bounds (-s+, -s-), and S(PU, -f) = P S(U, f)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           h_left=st.floats(0.1, 3.0), h_right=st.floats(0.1, 3.0),
+           amp=st.floats(0.01, 2.0), f=st.floats(-5.0, 5.0))
+    def test_reflection(self, order, seed, h_left, h_right, amp, f):
+        rng = np.random.default_rng(seed)
+        p = params_for(order)
+        P = reflection_flip(order)
+        U = np.empty((2, model1d.n_vars(order)))
+        U[:, 0] = h_left, h_right
+        U[:, 1:] = amp * U[:, :1] * rng.normal(size=(2, U.shape[1] - 1))
+        G, G_flip = (model1d.flux_g(V, p) for V in (U, P * U))
+        np.testing.assert_allclose(G_flip, -P * G, rtol=0,
+                                   atol=1e-13 * np.abs(G).max())
+        Q, Q_flip = (model1d.noncons_q(V, p) for V in (U, P * U))
+        np.testing.assert_allclose(Q_flip, -P[:, None] * Q * P, rtol=0,
+                                   atol=1e-13 * max(np.abs(Q).max(), 1.0))
+        sm, sp_, ratio = model1d.interface_speeds(U[:1], U[1:], p, tol_im=np.inf)
+        sm_f, sp_f, ratio_f = model1d.interface_speeds((P * U)[1:], (P * U)[:1], p,
+                                                       tol_im=np.inf)
+        scale = max(np.abs(sm).max(), np.abs(sp_).max())
+        np.testing.assert_allclose(sm_f, -sp_, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(sp_f, -sm, rtol=0, atol=1e-13 * scale)
+        assert ratio_f == pytest.approx(ratio, rel=1e-13, abs=1e-13)
+        S, S_flip = model1d.source_s(U, f), model1d.source_s(P * U, -f)
+        np.testing.assert_allclose(S_flip, P * S, rtol=0,
+                                   atol=1e-13 * max(np.abs(S).max(), 1.0))
+
+
 class TestOrderNesting:
     """An order-M state padded with zero moment blocks keeps the order-M
     flux and Q in its leading rows and block.  The speeds are not compared:

@@ -37,6 +37,30 @@ def with_layout(sol, layout):
     return out
 
 
+def reconstruct(sol, params, theta):
+    """``ref2d._reconstruct`` on the n_y + 2 rows of the strip with one
+    ghost row per side."""
+    grid = sol.grid
+    return ref2d._reconstruct(fv1d.fill_ghosts(sol.U, grid.boundary_y),
+                              fv1d.fill_ghosts(sol.B, grid.boundary_y, 1),
+                              grid, params, theta)
+
+
+def example3_like_solution():
+    """Outflow state with Coriolis forcing whose u, v and hb vary in zeta."""
+    grid = Grid2D(-4.0, 4.0, 32, 10, boundary_y="outflow")
+    y = grid.y_centers()[:, None]
+    z = grid.zeta_centers()[None, :]
+    h = np.broadcast_to(1.0 + 0.2 * np.exp(-y ** 2), (grid.n_y, grid.n_zeta))
+    U = np.zeros((grid.n_y, grid.n_zeta, 5))
+    U[..., 0] = h
+    U[..., 1] = h * 0.1 * np.exp(-y ** 2) * (1.0 + 0.5 * np.cos(np.pi * z))
+    U[..., 2] = h * np.sin(2.0 * np.pi * z)
+    U[..., 4] = 0.1 + 0.05 * (1.0 - 2.0 * z)
+    sol = Solution2D(grid, U, ref2d.make_divergence_field(U, grid, 1.3))
+    return sol, RefParams(g=1.0, coriolis=lambda y: np.ones_like(y))
+
+
 def varied_solution(n_y=24, boundary="outflow"):
     """Outflow state with Coriolis forcing, a depth step that leaves some
     cells' depth slopes limited to zero and others sloped, and every
@@ -85,15 +109,15 @@ class TestCouplingOmega:
     def test_uniform_flow_gives_zero(self):
         n_y, n_z = 8, 6
         flux_h = np.full((n_y + 1, n_z), 0.37)
-        h = np.ones((n_y, n_z))
-        omega = ref2d.coupling_omega(h, h, flux_h, 0.1, 1.0 / n_z)
+        omega, hvm_y = ref2d.coupling_omega(np.ones(n_y), flux_h, 0.1, 1.0 / n_z)
         np.testing.assert_allclose(omega, 0.0, atol=1e-15)
+        np.testing.assert_allclose(hvm_y, 0.0, atol=1e-15)
 
     def test_boundary_values_zero(self):
         rng = np.random.default_rng(1)
         flux_h = rng.normal(size=(9, 6))
-        h = np.ones((8, 6)) + 0.1 * rng.random((8, 6))
-        omega = ref2d.coupling_omega(h, h, flux_h, 0.1, 1.0 / 6)
+        h = np.ones(8) + 0.1 * rng.random(8)
+        omega, _ = ref2d.coupling_omega(h, flux_h, 0.1, 1.0 / 6)
         np.testing.assert_allclose(omega[:, 0], 0.0)
         np.testing.assert_allclose(omega[:, -1], 0.0)
 
@@ -118,8 +142,7 @@ class TestCouplingOmega:
             z_c = grid.zeta_centers()
             V = lambda yy: np.sin(np.pi * yy)
             flux_h = V(y_f)[:, None] * (1.0 - 2.0 * z_c)[None, :]
-            h = np.ones((n_y, n_z))
-            omega = ref2d.coupling_omega(h, h, flux_h, grid.dy, grid.dzeta)
+            omega, _ = ref2d.coupling_omega(np.ones(n_y), flux_h, grid.dy, grid.dzeta)
             z_f = np.arange(n_z + 1) * grid.dzeta
             y_c = grid.y_centers()
             exact = -np.pi * np.cos(np.pi * y_c)[:, None] * (z_f - z_f ** 2)[None, :]
@@ -128,6 +151,22 @@ class TestCouplingOmega:
         # linear profiles, so the error must drop steadily
         assert errs[0] < 0.02
         assert errs[2] <= errs[0] + 1e-12
+
+    def test_zeta_transport_gives_the_depth_rate(self):
+        # the zeta depth fluxes h omega turn every layer's own flux
+        # divergence into the column mean hvm_y, the depth rate rhs2d sets
+        rng = np.random.default_rng(6)
+        n_y, n_z, dy = 7, 9, 0.1
+        dz = 1.0 / n_z
+        flux_h = rng.normal(size=(n_y + 1, n_z))
+        h = 1.0 + rng.random(n_y)
+        omega, hvm_y = ref2d.coupling_omega(h, flux_h, dy, dz)
+        flux_div = (flux_h[1:] - flux_h[:-1]) / dy
+        np.testing.assert_allclose(hvm_y, flux_div.mean(axis=1), rtol=1e-14)
+        zeta_div = h[:, None] * (omega[:, 1:] - omega[:, :-1]) / dz
+        np.testing.assert_allclose(flux_div + zeta_div,
+                                   np.broadcast_to(hvm_y[:, None], flux_div.shape),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestCouplingC:
@@ -236,7 +275,7 @@ class TestReconstruct2D:
     def test_constant_fields(self):
         grid = Grid2D(0.0, 1.0, 6, 5)
         sol = uniform_solution(grid, [1.5, 0.1, -0.2, 0.3, 0.7])
-        rec = ref2d.reconstruct2d(sol, RefParams(g=1.0), theta=1.3)
+        rec, _ = reconstruct(sol, RefParams(g=1.0), theta=1.3)
         for face in (rec.north, rec.south, rec.up, rec.down):
             np.testing.assert_allclose(face[1:-1], sol.U, atol=1e-14)
 
@@ -246,8 +285,9 @@ class TestReconstruct2D:
         grid = Grid2D(0.0, 1.0, 8, 6, boundary_y="outflow")
         sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
         sol.U[..., 0] = np.array([1.0, 1.0, 1.0, 0.8, 0.6, 0.1, 0.1, 0.1])[:, None]
-        rec = ref2d.reconstruct2d(sol, RefParams(g=1.0, h_min=0.5), theta=1.3)
+        rec, clip_y = reconstruct(sol, RefParams(g=1.0, h_min=0.5), theta=1.3)
         assert np.all(rec.slope_y[5, :, 0] == 0.0)       # row 5 = cell 4
+        assert np.all(clip_y[5])
         np.testing.assert_array_equal(rec.south[5, :, 0], 0.6)
         assert np.all(rec.slope_y[4, :, 0] < 0.0)        # cell 3 keeps its slope
 
@@ -301,19 +341,9 @@ class TestRhs2D:
 
     def test_depth_stays_uniform_in_zeta(self):
         # Example-3-like: outflow, Coriolis, u, v and hb varying in zeta;
-        # the depth update is the column mean (coupling_omega), so h keeps
-        # one value per column up to round-off
-        grid = Grid2D(-4.0, 4.0, 32, 10, boundary_y="outflow")
-        y = grid.y_centers()[:, None]
-        z = grid.zeta_centers()[None, :]
-        h = 1.0 + 0.2 * np.exp(-y ** 2)
-        U = np.zeros((grid.n_y, grid.n_zeta, 5))
-        U[..., 0] = h
-        U[..., 1] = h * 0.1 * np.exp(-y ** 2) * (1.0 + 0.5 * np.cos(np.pi * z))
-        U[..., 2] = h * np.sin(2.0 * np.pi * z)
-        U[..., 4] = 0.1 + 0.05 * (1.0 - 2.0 * z)
-        sol = Solution2D(grid, U, ref2d.make_divergence_field(U, grid, 1.3))
-        p = RefParams(g=1.0, coriolis=lambda y: np.ones_like(y))
+        # every layer's depth rate is the column value, so h keeps one
+        # value per column bit for bit
+        sol, p = example3_like_solution()
         spreads = []
 
         def record(s, diag):
@@ -322,8 +352,22 @@ class TestRhs2D:
 
         final, stats = ref2d.run2d(sol, p, t_final=1.0, callback=record)
         assert stats.n_steps >= 10 and len(spreads) == stats.n_steps
-        assert np.abs(final.U[..., 0] - U[..., 0]).max() > 1e-3
-        assert max(spreads) <= 1e-13
+        assert np.abs(final.U[..., 0] - sol.U[..., 0]).max() > 1e-3
+        assert max(spreads) == 0.0
+
+    def test_depth_stays_uniform_in_zeta_in_lockstep(self):
+        sol, p = example3_like_solution()
+        grid1 = fv1d.Grid1D(sol.grid.y_min, sol.grid.y_max, sol.grid.n_y,
+                            boundary="outflow")
+        cells = np.zeros((grid1.n_cells, 5))
+        cells[:, 0] = sol.U[:, 0, 0]
+        p1 = model1d.ModelParams(g=1.0, order=0, coriolis=p.coriolis)
+        _, final = experiments.lockstep(fv1d.Solution1D(grid1, cells), p1, sol, p,
+                                        1.0, 0.45, 1.3)
+        h = final.U[..., 0]
+        assert final.time == 1.0
+        assert np.abs(h - sol.U[..., 0]).max() > 1e-3
+        assert np.all(h == h[:, :1])
 
     def test_divergence_residual_zero_by_construction(self):
         grid = Grid2D(-1.0, 1.0, 24, 8)
@@ -424,9 +468,9 @@ class TestWindows:
         # float spacing above the floor lands on the floor by rounding, so
         # slopes are clipped although no cell is dry
         grid = Grid2D(-1.0, 1.0, 23, 8)
-        j, k = np.ogrid[:grid.n_y, :grid.n_zeta]
         sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 1.0])
-        sol.U[..., 0] = np.array([6.5, 2.0, np.nextafter(0.5, 1.0)])[(j + k) % 3]
+        j = np.arange(grid.n_y)[:, None]
+        sol.U[..., 0] = np.array([6.5, 2.0, np.nextafter(0.5, 1.0)])[j % 3]
         sol.U[..., 2] = 0.1 * sol.U[..., 0]
         sol.B = ref2d.make_divergence_field(sol.U, grid, 2.0)
         p = RefParams(g=1.0, h_min=0.5)
@@ -437,33 +481,45 @@ class TestWindows:
                 results.append(rhs_in_windows(monkeypatch, sol, p, 2.0, rows)[0])
             logs.append([r.getMessage() for r in caplog.records])
         assert_same_rhs(*results)
-        # one warning per direction, each stencil row counted once
+        # one warning (the depth has no zeta slope), each stencil row counted once
         assert logs[0] == logs[1] == [
-            "clipped depth slope in 56 cell(s) to keep h above floor",
-            "clipped depth slope in 50 cell(s) to keep h above floor"]
+            "clipped depth slope in 56 cell(s) to keep h above floor"]
 
-    def test_dry_cell_logs_clipping_then_raises(self, caplog):
+    def test_dry_cell_names_depth_cell_and_time(self, caplog):
         grid = Grid2D(0.0, 1.0, 8, 6, boundary_y="outflow")
         sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
         sol.U[..., 0] = np.array([1.0, 1.0, 1.0, 0.8, 0.6, 0.1, 0.1, 0.1])[:, None]
+        sol.time = 0.25
         with caplog.at_level(logging.WARNING, logger="mrswm.fv1d"):
-            with pytest.raises(DryStateError, match="face depth at or below floor"):
+            with pytest.raises(DryStateError,
+                               match=r"^depth 1\.000e-01 at flat cell index 30 is at "
+                                     r"or below the floor 5\.0e-01 at t=0\.25$"):
                 ref2d.rhs2d(sol, RefParams(g=1.0, h_min=0.5), 1.3)
-        assert [r.getMessage() for r in caplog.records] == [
-            "clipped depth slope in 30 cell(s) to keep h above floor",
-            "clipped depth slope in 24 cell(s) to keep h above floor"]
+        assert caplog.records == []
 
 
 class TestLayout:
     def test_solution_stores_components_first(self):
         grid = Grid2D(-1.0, 1.0, 6, 4)
         U = np.arange(6 * 4 * 5, dtype=float).reshape(6, 4, 5)
+        U[..., 0] = 1.0 + np.arange(6)[:, None]              # one depth per row
         sol = Solution2D(grid, U, np.zeros((6, 4)))
         assert sol.U.shape == (6, 4, 5) and component_first(sol.U)
         np.testing.assert_array_equal(sol.U, U)
         assert not np.shares_memory(sol.U, U)
         again = Solution2D(grid, sol.U, sol.B)
         assert component_first(again.U) and np.shares_memory(again.U, sol.U)
+
+    def test_solution_rejects_depth_varying_in_zeta(self):
+        grid = Grid2D(-1.0, 1.0, 6, 4)
+        sol = uniform_solution(grid, [1.0, 0.2, 0.0, 0.0, 0.5])
+        U = sol.U.copy()
+        U[4, 2, 0] = np.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError, match=r"depth varies in zeta in column 4 "):
+            Solution2D(grid, U, sol.B)
+        U[4, 2, 0] = 1.0
+        U[:, :, 1] = np.arange(4.0)                          # other components may vary
+        assert Solution2D(grid, U, sol.B).U[..., 0].tobytes() == sol.U[..., 0].tobytes()
 
     def test_rhs2d_equal_in_both_layouts(self):
         sol, p = varied_solution()
