@@ -6,7 +6,8 @@ config file (``--config``), positional ``key=value`` tokens, and repeated
 ``--override key=value`` flags, merged in that order.  Every run writes
 its artifacts plus a ``manifest.json`` recording the configuration, code
 version, wall time, step counts, the worst complex-eigenvalue ratio seen,
-the environment (Python and numpy versions) and a SHA-256 per data file
+the environment (Python and numpy versions; for solver runs, BLAS and
+the spectrum shares) and a SHA-256 per data file
 (reruns of the same configuration are byte-identical).
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
@@ -293,7 +294,9 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
     """Write manifest.json; ``resolved`` holds the settings of the ``spec``
     that ran, after the example's defaults (Example 1 forces theta = 1);
     ``environment`` holds the Python and numpy versions and the command's
-    own ``environment`` entries."""
+    own ``environment`` entries: for the solver runs, the BLAS library and
+    the thread count a march runs it with, and for moment runs the shares
+    the spectra are cut into."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -365,8 +368,11 @@ def _cmd_run_moment(cfg: RunConfig) -> int:
             n_steps += stats.n_steps
         artifacts += experiments.write_moment_artifacts(cfg.out_dir, spec, sol,
                                                         cfg.order, profile=False)
+    # the spectra of a right-hand side: both sides of n_cells + 1 interfaces
+    shares = model1d.spectrum_split(2 * (spec.n_cells + 1), params.n_vars)
     _manifest(Path(cfg.out_dir), cfg, time.perf_counter() - tic,
-              {"moment": n_steps}, max_ratio, artifacts, spec)
+              {"moment": n_steps}, max_ratio, artifacts, spec,
+              {**fv1d.blas_environment(), "spectrum_shares": shares})
     return EXIT_OK
 
 
@@ -385,7 +391,7 @@ def _cmd_run_reference(cfg: RunConfig) -> int:
         artifacts += experiments.write_reference_artifacts(
             cfg.out_dir, spec, sol, profile=t_snap == times[-1])
     _manifest(Path(cfg.out_dir), cfg, time.perf_counter() - tic,
-              {"reference": n_steps}, 0.0, artifacts, spec)
+              {"reference": n_steps}, 0.0, artifacts, spec, fv1d.blas_environment())
     return EXIT_OK
 
 
@@ -402,7 +408,9 @@ def _cmd_compare(cfg: RunConfig) -> int:
     _manifest(out, cfg, time.perf_counter() - tic, steps,
               result.max_im_ratio, artifacts, spec,
               {"usable_cpus": len(os.sched_getaffinity(0)),
-               "workers": experiments.comparison_workers(orders)})
+               "workers": experiments.comparison_workers(orders),
+               # each worker takes its spectra in one share (_init_worker)
+               **fv1d.blas_environment(), "spectrum_shares": 1})
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ writer per solver: ``write_reference_artifacts`` and
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import multiprocessing
 import os
@@ -299,31 +298,19 @@ def comparison_workers(orders: Sequence[int]) -> int:
     return min(1 + len(set(orders)), len(os.sched_getaffinity(0)))
 
 
-def _one_blas_thread() -> None:
-    """Pin numpy's bundled OpenBLAS to one thread in this process, if
-    there is one with that symbol.  The workers already fill the usable
-    CPUs; a second BLAS thread in each would spin on a busy core."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
-        return
-
-
 #: The spec of the comparison a worker process serves; set by
 #: ``_init_worker`` in the worker, never in the calling process.
 _worker_spec: ExperimentSpec | None = None
 
 
 def _init_worker(spec: ExperimentSpec) -> None:
+    """Set up a worker: keep the spec, and take every spectrum in one share,
+    on the worker's own thread.  The workers already fill the usable CPUs,
+    so spectrum threads would only compete for them; each march runs one
+    BLAS thread for the same reason (``fv1d.integrate``)."""
     global _worker_spec
     _worker_spec = spec
-    _one_blas_thread()
+    model1d.spectrum_shares = 1
 
 
 def _solve(order: int | None):
@@ -342,7 +329,8 @@ def run_comparison(spec: ExperimentSpec, orders: Sequence[int]) -> ComparisonRes
 
     The runs are independent jobs in a pool of ``comparison_workers``
     processes, longest first (the reference, then the orders from the
-    highest down), each with one BLAS thread.  The pool forks: the spec
+    highest down), each with one BLAS thread and one spectrum share
+    (``_init_worker``).  The pool forks: the spec
     holds lambdas and cannot be pickled, so the workers inherit it.  A
     failure raises the error of the first failing job in the order
     (reference, *orders), as a serial loop would, with the failing order

@@ -23,9 +23,13 @@ phi-functions phi1(r) = log1p(r)/r and phi2(r) = (1 - phi1(r))/r
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -355,6 +359,51 @@ class RunStats:
 State = tuple[np.ndarray, ...]
 
 
+@lru_cache(maxsize=None)
+def _openblas():
+    """(file name, get, set) of the thread-count functions of the OpenBLAS
+    bundled with numpy, or None if there is none with those symbols."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get = handle.scipy_openblas_get_num_threads64_
+            put = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        put.argtypes = [ctypes.c_int]
+        put.restype = None
+        return lib.name, get, put
+    return None
+
+
+def blas_environment() -> dict:
+    """The manifest's BLAS entries: the bundled OpenBLAS's file name and the
+    thread count ``integrate`` runs it with (None for both without one)."""
+    blas = _openblas()
+    return {"blas": blas and blas[0], "blas_threads": blas and 1}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, then
+    restore its previous count.  The moment solver's small matmuls gain
+    nothing from a second thread, whose spinning would take the core the
+    spectrum threads (``model1d.eigenvalues``) need."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    _, get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def integrate(state: State, t0: float, t_final: float, rhs: Callable,
               spacing: tuple[float, ...], nu: float, floors: tuple[float | None, ...],
               callback: Callable | None = None) -> tuple[State, float, RunStats]:
@@ -370,7 +419,10 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
     ``model1d.check_valid``.  Each array keeps its memory order.
     A HyperbolicityError from ``rhs`` is raised again with the stage time
     in its message and ``time``.  ``callback(state, t, diagnostics)`` runs
-    after each step.
+    after each step.  The march runs numpy's bundled OpenBLAS at one
+    thread and restores its thread count on the way out, returning or
+    raising: the CPUs are left to the spectrum threads of
+    ``model1d.eigenvalues`` (the reference solver makes no BLAS calls).
     """
     if not 0.0 < nu <= 0.5:
         raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")
@@ -387,37 +439,38 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
             raise HyperbolicityError(f"{exc} at t={t:.6g}", exc.ratio,
                                      exc.location, t) from exc
 
-    stats = RunStats()
-    tic = time.perf_counter()
-    # np.copy keeps each array's memory order (a component-first state stays so)
-    u0, t = tuple(np.copy(arr) for arr in state), t0
-    check(u0, t)
-    while t < t_final - 1e-14 * max(1.0, t_final):
-        k1, diag = stage(u0, t)
-        dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)
-                             if s > 0.0])
-        dt = min(dt, t_final - t)
-        u1 = tuple(u + dt * k for u, k in zip(u0, k1))
-        check(u1, t + dt)
-        k2, d2 = stage(u1, t + dt)
-        u2 = tuple(0.75 * u + 0.25 * (v + dt * k) for u, v, k in zip(u0, u1, k2))
-        check(u2, t + 0.5 * dt)
-        k3, d3 = stage(u2, t + 0.5 * dt)
-        u0 = tuple(u / 3.0 + (2.0 / 3.0) * (v + dt * k) for u, v, k in zip(u0, u2, k3))
-        t = t + dt
+    with _one_blas_thread():
+        stats = RunStats()
+        tic = time.perf_counter()
+        # np.copy keeps each array's memory order (a component-first state stays so)
+        u0, t = tuple(np.copy(arr) for arr in state), t0
         check(u0, t)
-        diag = diag.merge(d2).merge(d3)
-        stats.n_steps += 1
-        stats.max_im_ratio = max(stats.max_im_ratio, diag.max_im_ratio)
-        stats.max_div_residual = max(stats.max_div_residual, diag.div_residual)
-        logger.debug("step %d t=%.6g dt=%.3e imag ratio %.2e",
-                     stats.n_steps, t, dt, diag.max_im_ratio)
-        if callback is not None:
-            callback(u0, t, diag)
-        if stats.n_steps >= MAX_STEPS:
-            raise SolverError(f"exceeded {MAX_STEPS} steps before t={t_final}")
-    stats.wall_time = time.perf_counter() - tic
-    return u0, t, stats
+        while t < t_final - 1e-14 * max(1.0, t_final):
+            k1, diag = stage(u0, t)
+            dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)
+                                 if s > 0.0])
+            dt = min(dt, t_final - t)
+            u1 = tuple(u + dt * k for u, k in zip(u0, k1))
+            check(u1, t + dt)
+            k2, d2 = stage(u1, t + dt)
+            u2 = tuple(0.75 * u + 0.25 * (v + dt * k) for u, v, k in zip(u0, u1, k2))
+            check(u2, t + 0.5 * dt)
+            k3, d3 = stage(u2, t + 0.5 * dt)
+            u0 = tuple(u / 3.0 + (2.0 / 3.0) * (v + dt * k) for u, v, k in zip(u0, u2, k3))
+            t = t + dt
+            check(u0, t)
+            diag = diag.merge(d2).merge(d3)
+            stats.n_steps += 1
+            stats.max_im_ratio = max(stats.max_im_ratio, diag.max_im_ratio)
+            stats.max_div_residual = max(stats.max_div_residual, diag.div_residual)
+            logger.debug("step %d t=%.6g dt=%.3e imag ratio %.2e",
+                         stats.n_steps, t, dt, diag.max_im_ratio)
+            if callback is not None:
+                callback(u0, t, diag)
+            if stats.n_steps >= MAX_STEPS:
+                raise SolverError(f"exceeded {MAX_STEPS} steps before t={t_final}")
+        stats.wall_time = time.perf_counter() - tic
+        return u0, t, stats
 
 
 def run(solution: Solution1D, params: ModelParams, t_final: float,

@@ -24,6 +24,8 @@ against the same data.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -294,6 +296,53 @@ def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
 
 
+#: Shares ``eigenvalues`` cuts a batch of states into: one per usable CPU.
+#: ``experiments._init_worker`` sets 1 in ``compare``'s worker processes,
+#: which already fill the CPUs.
+spectrum_shares = len(os.sched_getaffinity(0))
+#: Jacobian entries (states x (5 + 4M)^2) of the smallest batch that
+#: ``eigenvalues`` splits.  Two shares cost about 0.3 ms more than one
+#: in thread hand-offs, and at one BLAS thread they won on a 2-core
+#: machine from about 128 states at M = 3 (37k entries), 256 at M = 1..2
+#: (21k, 43k) and not below 402 at M = 0 (10k).
+MIN_SPLIT_ENTRIES = 32_768
+
+_pool: ThreadPoolExecutor | None = None
+_pool_key: tuple[int, int] | None = None
+
+
+def spectrum_split(n_states: int, n: int) -> int:
+    """Shares ``eigenvalues`` cuts a batch of ``n_states`` states of
+    ``n`` components into."""
+    return spectrum_shares if n_states * n * n >= MIN_SPLIT_ENTRIES else 1
+
+
+def _spectrum_pool(workers: int) -> ThreadPoolExecutor:
+    """The threads that take every share but the caller's, created on first
+    use by each process: a pool inherited through fork has no threads, and
+    work handed to it would never run."""
+    global _pool, _pool_key
+    key = (os.getpid(), workers)
+    if _pool_key != key:
+        if _pool is not None and _pool_key[0] == key[0]:
+            _pool.shutdown(wait=False)
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="mrswm-spectrum")
+        _pool_key = key
+    return _pool
+
+
+def _block_spectra(J: np.ndarray, grav: np.ndarray, vel: np.ndarray,
+                   mag: np.ndarray) -> np.ndarray:
+    """The spectra of the diagonal blocks of a stack of Jacobians.  It runs
+    on the spectrum threads, so it calls numpy only."""
+    J_uu = J[..., vel[:, None], vel]
+    J_ua = J[..., vel[:, None], mag]
+    return np.concatenate([J[..., HB, HB, None].astype(complex),
+                           np.linalg.eigvals(J[..., grav[:, None], grav]),
+                           np.linalg.eigvals(J_uu + J_ua),
+                           np.linalg.eigvals(J_uu - J_ua)], axis=-1)
+
+
 def eigenvalues(U: np.ndarray, params: ModelParams,
                 quad: np.ndarray | None = None) -> np.ndarray:
     """Complex spectrum of J(U), batched along leading axes.
@@ -302,15 +351,27 @@ def eigenvalues(U: np.ndarray, params: ModelParams,
     the scalar hb_m entry, the gravity block, and the Elsasser blocks
     J_uu + J_ua and J_uu - J_ua of the transverse block.  ``quad`` is
     passed on to ``jacobian``.
+
+    A batch of at least ``MIN_SPLIT_ENTRIES`` Jacobian entries is cut into
+    ``spectrum_shares`` contiguous shares whose spectra are taken at once,
+    the first on the calling thread and the others on a thread pool
+    (numpy's eigenvalue loops release the GIL).  Each matrix's eigenvalues
+    are computed on their own, so the result is bitwise the same as in
+    one share.
     """
     J = jacobian(U, params, quad)
-    grav, vel, mag = spectral_blocks(params.order)
-    J_uu = J[..., vel[:, None], vel]
-    J_ua = J[..., vel[:, None], mag]
-    return np.concatenate([J[..., HB, HB, None].astype(complex),
-                           np.linalg.eigvals(J[..., grav[:, None], grav]),
-                           np.linalg.eigvals(J_uu + J_ua),
-                           np.linalg.eigvals(J_uu - J_ua)], axis=-1)
+    blocks = spectral_blocks(params.order)
+    n = J.shape[-1]
+    flat = J.reshape(-1, n, n)
+    shares = spectrum_split(len(flat), n)
+    if shares == 1:
+        return _block_spectra(J, *blocks)
+    cuts = [len(flat) * k // shares for k in range(shares + 1)]
+    parts = [flat[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    pool = _spectrum_pool(shares - 1)
+    futures = [pool.submit(_block_spectra, part, *blocks) for part in parts[1:]]
+    lam = [_block_spectra(parts[0], *blocks)] + [f.result() for f in futures]
+    return np.concatenate(lam).reshape(J.shape[:-1])
 
 
 def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,

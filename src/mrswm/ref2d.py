@@ -150,16 +150,18 @@ def flux_y(U: np.ndarray, g: float) -> np.ndarray:
 
 
 def flux_zeta(U: np.ndarray, omega, C) -> np.ndarray:
-    """Vertical flux H(U) given mapped transport values omega and C."""
+    """Vertical flux H(U) of (hu, hv, ha, hb) given mapped transport values
+    omega and C.  The depth has none: its rate is the column value that
+    ``coupling_omega`` returns."""
     om = np.asarray(omega)[..., None]
     h = U[..., 0]
     u, v, a, b = (U[..., k] / h for k in (1, 2, 3, 4))
     HC = np.asarray(C) * h
-    Hf = U * om
-    Hf[..., 1] -= a * HC
-    Hf[..., 2] -= b * HC
-    Hf[..., 3] -= u * HC
-    Hf[..., 4] -= v * HC
+    Hf = U[..., 1:] * om
+    Hf[..., 0] -= a * HC
+    Hf[..., 1] -= b * HC
+    Hf[..., 2] -= u * HC
+    Hf[..., 3] -= v * HC
     return Hf
 
 
@@ -192,7 +194,8 @@ def coupling_omega(h: np.ndarray, flux_h: np.ndarray, dy: float,
     fluxes is -flux_div_k - (partial_k - partial_{k-1}) / dzeta
     = -flux_div_k - (hvm_y - flux_div_k) = -hvm_y, the same in every
     layer.  ``rhs2d`` takes that value itself, which keeps h one value
-    per column bit for bit; the zeta fluxes give it only to round-off.
+    per column bit for bit, where the zeta fluxes would give it only to
+    round-off; ``flux_zeta`` has no depth column.
     """
     flux_div = (flux_h[1:] - flux_h[:-1]) / dy            # (n_y, n_z)
     hvm_y = dzeta * flux_div.sum(axis=1)                  # (n_y,)
@@ -356,10 +359,10 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     dn = rec.down[real, 1:]
     sp_z = np.maximum(om_int + np.abs(c), 0.0)
     sm_z = np.minimum(om_int - np.abs(c), 0.0)
-    Hf = np.moveaxis(np.empty((5, n, n_z + 1)), 0, -1)   # the state's layout
+    Hf = np.moveaxis(np.empty((4, n, n_z + 1)), 0, -1)   # the state's layout
     Hf[:, [0, -1]] = 0.0
     cu_flux_from_values(flux_zeta(up, om_int, c), flux_zeta(dn, om_int, c),
-                        up, dn, sm_z, sp_z, out=Hf[:, 1:-1])
+                        up[..., 1:], dn[..., 1:], sm_z, sp_z, out=Hf[:, 1:-1])
 
     # --- nonconservative products ------------------------------------------
     # weights of (hu, hv, ha, hb), a contiguous block of the component axis
@@ -391,7 +394,7 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     du += tmp
     np.negative(du, out=du)
     du /= dy
-    np.subtract(Hf[:, 1:, 1:], Hf[:, :-1, 1:], out=tmp)
+    np.subtract(Hf[:, 1:], Hf[:, :-1], out=tmp)
     tmp -= Qz_cell
     tmp /= dz
     du -= tmp

@@ -17,6 +17,18 @@ from mrswm.io import file_sha256
 #: The ``environment`` every command's manifest records.
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__}
 
+
+def bundled_openblas():
+    """File name of the OpenBLAS bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return next((lib.name for lib in sorted(libs.glob("*openblas*"))), None)
+
+
+#: What a solver run's manifest adds: the BLAS library and the thread
+#: count a march runs it with.
+SOLVER_ENVIRONMENT = {**ENVIRONMENT, "blas": bundled_openblas(),
+                      "blas_threads": 1 if bundled_openblas() else None}
+
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
@@ -167,7 +179,19 @@ class TestRunCommands:
         assert manifest["resolved"] == {"theta": 1.0, "n_cells": 16,
                                         "n_zeta": 100, "t_final": 0.01,
                                         "tol_im": 0.1}
-        assert manifest["environment"] == ENVIRONMENT
+        # 34 order-0 states are too few to split
+        assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "spectrum_shares": 1}
+
+    def test_manifest_records_blas_and_spectrum_shares(self, tmp_path):
+        # at M=3, 200 cells give 402 states per batch: one share per usable CPU
+        rc = cli.main(["run-moment", "example=2", "case=linear", "order=3",
+                       "final_time=0.002", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cpus = len(os.sched_getaffinity(0))
+        assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "spectrum_shares": cpus}
+        if bundled_openblas() is not None:
+            assert "openblas" in manifest["environment"]["blas"]
 
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",
@@ -199,8 +223,10 @@ class TestRunCommands:
         assert len(lines) == 1 + 2 * 5   # two orders, five mean fields
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         cpus = len(os.sched_getaffinity(0))
-        assert manifest["environment"] == {**ENVIRONMENT, "usable_cpus": cpus,
-                                           "workers": min(3, cpus)}
+        # every worker takes its spectra in one share
+        assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "usable_cpus": cpus,
+                                           "workers": min(3, cpus),
+                                           "spectrum_shares": 1}
 
     def test_custom_initial_conditions(self, tmp_path):
         rc = cli.main(["run-moment", "ic_h=1.0+0.1*exp(-y**2)", "ic_v=0.25",
@@ -298,7 +324,7 @@ class TestRunCommands:
             for rel, digest in tree[mode].items():
                 assert file_sha256(tmp_path / mode / rel) == digest
         manifest = json.loads((tmp_path / "run-reference" / "manifest.json").read_text())
-        assert manifest["environment"] == ENVIRONMENT
+        assert manifest["environment"] == SOLVER_ENVIRONMENT
 
     def test_failing_order_is_one_json_line(self, tmp_path):
         # in a fresh process: pytest's logging plugin would take the

@@ -2,7 +2,10 @@
 
 import ctypes
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +27,49 @@ def blas_threads():
             get.restype = ctypes.c_int
             return get()
     return None
+
+
+def worker_march_settings():
+    """The BLAS thread counts seen during a short march in this process,
+    and its spectrum shares."""
+    spec = ex._worker_spec
+    seen = set()
+    fv1d.run(ex.initial_moment_solution(spec, 1), ex.model_params(spec, 1), 0.005,
+             callback=lambda sol, diag: seen.add(blas_threads()))
+    return seen, model1d.spectrum_shares
+
+
+#: A split M=3 solve (two shares even on one CPU), then ``run_comparison``,
+#: then a plain fork that solves in the child, which makes its own pool.
+FORK_AFTER_SOLVE = """
+import os, time
+from dataclasses import replace
+from mrswm import experiments as ex, fv1d, model1d
+model1d.spectrum_shares = 2
+spec = replace(ex.make_spec(2, "linear"), n_cells={n_cells}, n_zeta=4, t_final=0.01)
+def solve():
+    fv1d.run(ex.initial_moment_solution(spec, 3), ex.model_params(spec, 3), 0.01)
+solve()
+assert model1d._pool is not None
+print("pool", flush=True)
+ex.run_comparison(spec, [0, 3])
+print("compare", flush=True)
+pid = os.fork()
+if pid == 0:
+    solve()
+    os._exit(0)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        raise SystemExit("forked solve hung")
+    time.sleep(0.05)
+assert status == 0, status
+print("fork", flush=True)
+"""
 
 
 def build_example(example, case, order, n_cells, n_zeta):
@@ -233,14 +279,30 @@ class TestComparisonHarness:
         assert (back.ratio, back.location, back.time) == (0.25, (3, "left"), 0.1)
 
     def test_blas_pin_stays_in_the_workers(self):
+        # a worker marches at one BLAS thread and takes its spectra in one
+        # share; the calling process keeps its own settings
         spec = replace(ex.make_spec(2, "linear"), n_cells=16, n_zeta=4, t_final=0.01)
-        before = blas_threads()
+        before = blas_threads(), model1d.spectrum_shares
         pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
                                    initializer=ex._init_worker, initargs=(spec,))
         with pool:
-            assert pool.submit(blas_threads).result(timeout=60) in (None, 1)
+            during, shares = pool.submit(worker_march_settings).result(timeout=60)
+        assert during in ({None}, {1}) and shares == 1
         ex.run_comparison(spec, [0])
-        assert blas_threads() == before
+        assert (blas_threads(), model1d.spectrum_shares) == before
+
+    def test_solve_then_forks_complete(self):
+        # an in-process solve makes the spectrum pool; forked processes must
+        # not hand work to its threads, which a child does not have.  In a
+        # fresh interpreter with a timeout, so that a hang fails
+        # enough cells that the 2 (n_cells + 1) interface states split at M=3
+        n_cells = model1d.MIN_SPLIT_ENTRIES // (2 * model1d.n_vars(3) ** 2) + 1
+        script = FORK_AFTER_SOLVE.format(n_cells=n_cells)
+        env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=180)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["pool", "compare", "fork"]
 
     def test_profile_column_rule_shared(self):
         # moment and reference profiles read the same column, a boundary

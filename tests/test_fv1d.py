@@ -564,3 +564,35 @@ class TestTimeStepping:
         assert abs(m1 - m0) <= 1e-11 * abs(m0)
         assert np.abs(final.cells[:, 4] - 1.1).max() <= 1.1e-12
         assert stats.n_steps > 0
+
+
+class TestBlasPin:
+    @pytest.fixture
+    def get_threads(self):
+        blas = fv1d._openblas()
+        if blas is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        return blas[1]
+
+    def test_one_thread_during_the_march_then_restored(self, get_threads):
+        p = make_params(1)
+        before = get_threads()
+        during = []
+        fv1d.run(bump_state(20), p, t_final=0.02,
+                 callback=lambda s, d: during.append(get_threads()))
+        assert during and set(during) == {1}
+        assert get_threads() == before
+
+    def test_restored_when_the_march_raises(self, get_threads):
+        before = get_threads()
+        assert first_step(bump_state(20), make_params(1)) > 0.0   # a callback raises
+        assert get_threads() == before
+        sol = bump_state(20)
+        sol.cells[7, 2] = np.inf
+        with pytest.raises(DryStateError):
+            fv1d.run(sol, make_params(1), t_final=0.1)
+        assert get_threads() == before
+
+    def test_environment_names_the_library(self, get_threads):
+        env = fv1d.blas_environment()
+        assert "openblas" in env["blas"] and env["blas_threads"] == 1

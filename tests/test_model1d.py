@@ -423,6 +423,84 @@ class TestLocalSpeeds:
         assert info.value.ratio > 1e-3
 
 
+def spy_on_shares(monkeypatch):
+    """Record the number of states of each share ``eigenvalues`` takes."""
+    sizes = []
+    block_spectra = model1d._block_spectra
+
+    def spy(J, *blocks):
+        sizes.append(len(J))
+        return block_spectra(J, *blocks)
+
+    monkeypatch.setattr(model1d, "_block_spectra", spy)
+    return sizes
+
+
+def split_cut(order):
+    """Fewest states whose batch ``eigenvalues`` splits at ``order``."""
+    return -(-model1d.MIN_SPLIT_ENTRIES // model1d.n_vars(order) ** 2)
+
+
+class TestSpectrumSplit:
+    @pytest.mark.parametrize("order", range(4))
+    def test_split_matches_one_share_bitwise(self, order, monkeypatch):
+        p = params_for(order)
+        rng = np.random.default_rng(order)
+        cut = split_cut(order)
+        sizes = spy_on_shares(monkeypatch)
+        for n in (1, 7, cut - 1, cut, cut + 1, 2 * cut + 1, 3 * cut + 7):
+            U = random_states(rng, order, n, mag=0.5)
+            monkeypatch.setattr(model1d, "spectrum_shares", 1)
+            whole = model1d.eigenvalues(U, p)
+            for shares in (2, 3):
+                monkeypatch.setattr(model1d, "spectrum_shares", shares)
+                sizes.clear()
+                split = model1d.eigenvalues(U, p)
+                assert split.shape == whole.shape == U.shape
+                assert split.tobytes() == whole.tobytes()
+                # contiguous shares covering the batch, or one below the cut
+                assert sum(sizes) == n
+                assert len(sizes) == (shares if n >= cut else 1)
+                assert max(sizes) - min(sizes) <= 1
+
+    def test_split_keeps_leading_axes(self, monkeypatch):
+        p = params_for(2)
+        rows = split_cut(2) // 3 + 2
+        U = random_states(np.random.default_rng(5), 2, 3 * rows, mag=0.5)
+        monkeypatch.setattr(model1d, "spectrum_shares", 1)
+        whole = model1d.eigenvalues(U, p)
+        monkeypatch.setattr(model1d, "spectrum_shares", 3)
+        sizes = spy_on_shares(monkeypatch)
+        split = model1d.eigenvalues(U.reshape(3, rows, -1), p)
+        assert len(sizes) == 3
+        assert split.shape == (3, rows, U.shape[-1])
+        assert split.reshape(whole.shape).tobytes() == whole.tobytes()
+
+    def test_error_in_the_last_share(self, monkeypatch):
+        # the offending state is the last right state: the last share
+        p = params_for(1, tol_im=1e-6)
+        candidates = random_states(np.random.default_rng(11), 1, 50, mag=2.0)
+        lam = model1d.eigenvalues(candidates, p)
+        ratio = np.abs(lam.imag).max(axis=-1) / np.abs(lam.real).max(axis=-1)
+        bad = candidates[np.argmax(ratio > 1e-3)]
+        good = np.array([1.0, 0.0, 0.2, 0.0, 1.1, 0.0, 0.0, 0.0, 0.0])
+        n_if = split_cut(1) // 2 + 3
+        U_left = np.tile(good, (n_if, 1))
+        U_right = U_left.copy()
+        U_right[-1] = bad
+        errors = []
+        sizes = spy_on_shares(monkeypatch)
+        for shares in (1, 3):
+            monkeypatch.setattr(model1d, "spectrum_shares", shares)
+            sizes.clear()
+            with pytest.raises(HyperbolicityError) as info:
+                model1d.interface_speeds(U_left, U_right, p)
+            assert len(sizes) == shares
+            errors.append((str(info.value), info.value.ratio, info.value.location))
+        assert errors[0] == errors[1]
+        assert errors[0][2] == (n_if - 1, "right")
+
+
 def elsasser_flip(order):
     """Signs that flip ha_m, hb_m, h gamma_i and h eta_i and keep the rest."""
     P = np.ones(model1d.n_vars(order))
