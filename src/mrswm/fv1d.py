@@ -371,6 +371,7 @@ def _openblas():
             put = handle.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
+        get.argtypes = []
         get.restype = ctypes.c_int
         put.argtypes = [ctypes.c_int]
         put.restype = None

@@ -25,7 +25,7 @@ against the same data.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -370,7 +370,11 @@ def eigenvalues(U: np.ndarray, params: ModelParams,
     parts = [flat[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     pool = _spectrum_pool(shares - 1)
     futures = [pool.submit(_block_spectra, part, *blocks) for part in parts[1:]]
-    lam = [_block_spectra(parts[0], *blocks)] + [f.result() for f in futures]
+    try:
+        first = _block_spectra(parts[0], *blocks)
+    finally:
+        wait(futures)           # no share outlives the call, even on an error
+    lam = [first] + [f.result() for f in futures]
     return np.concatenate(lam).reshape(J.shape[:-1])
 
 

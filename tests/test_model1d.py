@@ -7,6 +7,8 @@ directional-derivative check of the Jacobian, and the dense spectrum of
 the full Jacobian for the blockwise eigenvalues.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,9 +443,22 @@ def split_cut(order):
     return -(-model1d.MIN_SPLIT_ENTRIES // model1d.n_vars(order) ** 2)
 
 
+@pytest.fixture
+def fast_thread_switches():
+    """Switch threads as often as the interpreter allows, so that shares
+    taken at once interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestSpectrumSplit:
     @pytest.mark.parametrize("order", range(4))
-    def test_split_matches_one_share_bitwise(self, order, monkeypatch):
+    def test_split_matches_one_share_bitwise(self, order, monkeypatch,
+                                             fast_thread_switches):
         p = params_for(order)
         rng = np.random.default_rng(order)
         cut = split_cut(order)
