@@ -383,7 +383,9 @@ def blas_environment() -> dict:
     """The manifest's BLAS entries: the bundled OpenBLAS's file name and the
     thread count ``integrate`` runs it with (None for both without one)."""
     blas = _openblas()
-    return {"blas": blas and blas[0], "blas_threads": blas and 1}
+    if blas is None:
+        return {"blas": None, "blas_threads": None}
+    return {"blas": blas[0], "blas_threads": 1}
 
 
 @contextmanager

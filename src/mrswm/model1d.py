@@ -308,7 +308,7 @@ spectrum_shares = len(os.sched_getaffinity(0))
 MIN_SPLIT_ENTRIES = 32_768
 
 _pool: ThreadPoolExecutor | None = None
-_pool_key: tuple[int, int] | None = None
+_pool_pid: int | None = None
 
 
 def spectrum_split(n_states: int, n: int) -> int:
@@ -317,17 +317,14 @@ def spectrum_split(n_states: int, n: int) -> int:
     return spectrum_shares if n_states * n * n >= MIN_SPLIT_ENTRIES else 1
 
 
-def _spectrum_pool(workers: int) -> ThreadPoolExecutor:
+def _spectrum_pool() -> ThreadPoolExecutor:
     """The threads that take every share but the caller's, created on first
     use by each process: a pool inherited through fork has no threads, and
     work handed to it would never run."""
-    global _pool, _pool_key
-    key = (os.getpid(), workers)
-    if _pool_key != key:
-        if _pool is not None and _pool_key[0] == key[0]:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="mrswm-spectrum")
-        _pool_key = key
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(spectrum_shares - 1, thread_name_prefix="mrswm-spectrum")
+        _pool_pid = os.getpid()
     return _pool
 
 
@@ -368,7 +365,7 @@ def eigenvalues(U: np.ndarray, params: ModelParams,
         return _block_spectra(J, *blocks)
     cuts = [len(flat) * k // shares for k in range(shares + 1)]
     parts = [flat[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    pool = _spectrum_pool(shares - 1)
+    pool = _spectrum_pool()
     futures = [pool.submit(_block_spectra, part, *blocks) for part in parts[1:]]
     try:
         first = _block_spectra(parts[0], *blocks)
