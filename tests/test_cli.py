@@ -190,8 +190,6 @@ class TestRunCommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         cpus = len(os.sched_getaffinity(0))
         assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "spectrum_shares": cpus}
-        if bundled_openblas() is not None:
-            assert "openblas" in manifest["environment"]["blas"]
 
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",

@@ -592,7 +592,3 @@ class TestBlasPin:
         with pytest.raises(DryStateError):
             fv1d.run(sol, make_params(1), t_final=0.1)
         assert get_threads() == before
-
-    def test_environment_names_the_library(self, get_threads):
-        env = fv1d.blas_environment()
-        assert "openblas" in env["blas"] and env["blas_threads"] == 1
