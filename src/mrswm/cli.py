@@ -295,8 +295,9 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
     that ran, after the example's defaults (Example 1 forces theta = 1);
     ``environment`` holds the Python and numpy versions and the command's
     own ``environment`` entries: for the solver runs, the BLAS library and
-    the thread count a march runs it with, and for moment runs the shares
-    the spectra are cut into."""
+    the thread count a march runs it with, for moment runs the shares
+    the spectra are cut into, and for reference runs the processes the
+    windows of a right-hand side run in."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -391,7 +392,8 @@ def _cmd_run_reference(cfg: RunConfig) -> int:
         artifacts += experiments.write_reference_artifacts(
             cfg.out_dir, spec, sol, profile=t_snap == times[-1])
     _manifest(Path(cfg.out_dir), cfg, time.perf_counter() - tic,
-              {"reference": n_steps}, 0.0, artifacts, spec, fv1d.blas_environment())
+              {"reference": n_steps}, 0.0, artifacts, spec,
+              {**fv1d.blas_environment(), "strip_processes": ref2d.strip_processes(sol.grid)})
     return EXIT_OK
 
 
@@ -409,8 +411,9 @@ def _cmd_compare(cfg: RunConfig) -> int:
               result.max_im_ratio, artifacts, spec,
               {"usable_cpus": len(os.sched_getaffinity(0)),
                "workers": experiments.comparison_workers(orders),
-               # each worker takes its spectra in one share (_init_worker)
-               **fv1d.blas_environment(), "spectrum_shares": 1})
+               # each worker takes its spectra in one share and its
+               # reference windows in one process (_init_worker)
+               **fv1d.blas_environment(), "spectrum_shares": 1, "strip_processes": 1})
     return EXIT_OK
 
 

@@ -305,9 +305,11 @@ _worker_spec: ExperimentSpec | None = None
 
 def _init_worker(spec: ExperimentSpec) -> None:
     """Set up a worker: keep the spec, and take every spectrum in one share,
-    on the worker's own thread.  The workers already fill the usable CPUs,
-    so spectrum threads would only compete for them; each march runs one
-    BLAS thread for the same reason (``fv1d.integrate``)."""
+    on the worker's own thread, and every reference window in the worker
+    (``ref2d.strip_processes``).  The workers already fill the usable
+    CPUs, so spectrum threads or a strip worker would only compete for
+    them; each march runs one BLAS thread for the same reason
+    (``fv1d.integrate``)."""
     global _worker_spec
     _worker_spec = spec
     model1d.spectrum_shares = 1

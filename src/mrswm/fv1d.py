@@ -79,9 +79,6 @@ class Solution1D:
     cells: np.ndarray      # (n_cells, 5 + 4M)
     time: float = 0.0
 
-    def copy(self) -> "Solution1D":
-        return Solution1D(self.grid, self.cells.copy(), self.time)
-
 
 def minmod3(z1, z2, z3):
     """Generalized minmod: least-magnitude value if all signs agree, else 0.
@@ -94,11 +91,14 @@ def minmod3(z1, z2, z3):
     return np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))[()]
 
 
-def fill_ghosts(cells: np.ndarray, boundary: str, n_ghost: int = 2) -> np.ndarray:
-    """Append ghost cells per side along axis 0 (periodic wrap or copy of the edge)."""
+def fill_ghosts(cells: np.ndarray, boundary: str, n_ghost: int = 2,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Append ghost cells per side along axis 0 (periodic wrap or copy of the
+    edge), into ``out`` (a new array if None)."""
     if boundary == "periodic":
-        return np.concatenate([cells[-n_ghost:], cells, cells[:n_ghost]])
-    return np.concatenate([cells[:1]] * n_ghost + [cells] + [cells[-1:]] * n_ghost)
+        return np.concatenate([cells[-n_ghost:], cells, cells[:n_ghost]], out=out)
+    return np.concatenate([cells[:1]] * n_ghost + [cells] + [cells[-1:]] * n_ghost,
+                          out=out)
 
 
 def limited_slope(ext: np.ndarray, dx: float, theta: float, axis: int = 0) -> np.ndarray:
@@ -453,13 +453,18 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
             dt = min([DT_MAX] + [nu * dx / s for dx, s in zip(spacing, diag.max_speed)
                                  if s > 0.0])
             dt = min(dt, t_final - t)
+            # each stage's arrays are dropped once no later stage reads
+            # them, so a right-hand side runs beside no dead state
             u1 = tuple(u + dt * k for u, k in zip(u0, k1))
+            del k1
             check(u1, t + dt)
             k2, d2 = stage(u1, t + dt)
             u2 = tuple(0.75 * u + 0.25 * (v + dt * k) for u, v, k in zip(u0, u1, k2))
+            del u1, k2
             check(u2, t + 0.5 * dt)
             k3, d3 = stage(u2, t + 0.5 * dt)
             u0 = tuple(u / 3.0 + (2.0 / 3.0) * (v + dt * k) for u, v, k in zip(u0, u2, k3))
+            del u2, k3
             t = t + dt
             check(u0, t)
             diag = diag.merge(d2).merge(d3)

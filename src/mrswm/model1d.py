@@ -297,6 +297,7 @@ def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 #: Shares ``eigenvalues`` cuts a batch of states into: one per usable CPU.
+#: ``ref2d.strip_processes`` splits a reference strip when it is above 1.
 #: ``experiments._init_worker`` sets 1 in ``compare``'s worker processes,
 #: which already fill the CPUs.
 spectrum_shares = len(os.sched_getaffinity(0))

@@ -26,7 +26,12 @@ horizontally.
 
 ``rhs2d`` fills the y ghosts of U and B once, then runs its body over
 windows of about ``WINDOW_CELLS`` cells (whole rows; a strip that fits
-in one window runs as one).  At n_zeta = 100 a window is 100 rows and
+in one window runs as one).  A strip of two or more windows, in a
+process with more than one CPU share (``model1d.spectrum_shares``,
+which ``compare``'s workers set to 1), is split in y: the caller runs
+the lower half of the windows while a forked strip worker runs the
+upper half (``strip_processes``), a domain decomposition of the same
+scheme.  At n_zeta = 100 a window is 100 rows and
 each of the body's (rows, n_zeta, 5) temporaries 400 KB, so they stay in
 a 2 MiB L2 cache where the whole strip's (3.2 MB each at 800 x 100)
 would stream from memory.  A window reads ``HALO`` = 3 rows of U and B
@@ -39,15 +44,29 @@ the strip gives.  Beyond an outflow end the ghost omega is a copy of the
 edge row's, not one computed from the copied rows of U.
 The speeds and the divergence residual are maxima over the windows; the
 clipped y depth slopes are counted once per stencil row and logged once.
+The worker is forked at the first split call (never at import) and
+shares the ghosted U and B and its rows of the outputs with the caller
+through one anonymous shared mapping per grid shape.  Each call's job
+carries the window bounds, the grid, g, h_min, theta and the Coriolis
+rows the caller evaluated, so the worker reads no setting from its own
+copy of this module.  It ends when its job pipe closes: at the caller's
+exit (``atexit``) or when the caller dies (``PR_SET_PDEATHSIG``); a
+forked child closes the pipes it inherits and forks its own worker.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import model1d
 from .fv1d import (RunStats, StepDiagnostics, _cell_weights, _interface_weights,
                    clip_depth_slope, cu_flux_from_values, fill_ghosts, integrate,
                    limited_slope, warn_clipped)
@@ -271,8 +290,8 @@ def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefPa
 
 
 def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
-    """Semi-discrete time derivative of (U, B), computed window by window
-    (see the module docstring)."""
+    """Semi-discrete time derivative of (U, B), computed window by window,
+    in one process or two (see the module docstring)."""
     grid = solution.grid
     n_y, n_z = grid.n_y, grid.n_zeta
     # The windows check no depth: a face depth falls to the floor exactly
@@ -280,20 +299,18 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     # others' stay above it), so this check covers every face.
     if np.any(solution.U[..., 0] <= params.h_min):
         check_valid(solution.U, params.h_min, solution.time)
-    ext = fill_ghosts(solution.U, grid.boundary_y, HALO)       # (n_y+6, n_z, 5)
-    B_ext = fill_ghosts(solution.B, grid.boundary_y, HALO)
     y = grid.y_centers()
     f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)[:, None]
     dudt = np.moveaxis(np.empty((5, n_y, n_z)), 0, -1)         # the state's layout
     dbdt = np.empty((n_y, n_z))
-    outflow = grid.boundary_y == "outflow"
-    rows = max(1, WINDOW_CELLS // n_z)
-    stats = []
-    for a in range(0, n_y, rows):
-        b = min(a + rows, n_y)
-        stats.append(_rhs_rows(ext[a:b + 2 * HALO], B_ext[a:b + 2 * HALO], f[a:b],
-                               (a == 0, b == n_y), outflow, grid, params, theta,
-                               dudt[a:b], dbdt[a:b]))
+    windows = _windows(grid)
+    if strip_processes(grid) == 1:
+        ext = fill_ghosts(solution.U, grid.boundary_y, HALO)   # (n_y+6, n_z, 5)
+        B_ext = fill_ghosts(solution.B, grid.boundary_y, HALO)
+        stats = _rhs_windows(windows, ext, B_ext, f, grid, params, theta, dudt, dbdt)
+    else:
+        stats = _strip_worker(grid).split(windows, solution, f, params, theta,
+                                          dudt, dbdt)
     stats = np.array(stats)
     warn_clipped(stats[:, 3].sum())
     max_speed_y, max_speed_z, div_residual = map(float, stats[:, :3].max(axis=0))
@@ -302,6 +319,187 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
                        max_speed_z=max_speed_z,
                        div_residual=div_residual if b_scale == 0.0
                        else div_residual / b_scale)
+
+
+def _windows(grid: Grid2D) -> list[tuple[int, int]]:
+    """The windows of ``rhs2d`` as (first row, end row): runs of whole rows
+    of about ``WINDOW_CELLS`` cells."""
+    rows = max(1, WINDOW_CELLS // grid.n_zeta)
+    return [(a, min(a + rows, grid.n_y)) for a in range(0, grid.n_y, rows)]
+
+
+def strip_processes(grid: Grid2D) -> int:
+    """Processes ``rhs2d`` runs the windows of ``grid`` in: two when the
+    strip has two or more windows, the process more than one CPU share
+    (``model1d.spectrum_shares``) and the call comes from the main thread
+    (the worker serves one caller at a time); else one."""
+    split = (len(_windows(grid)) > 1 and model1d.spectrum_shares > 1
+             and threading.current_thread() is threading.main_thread())
+    return 2 if split else 1
+
+
+def _rhs_windows(windows: list[tuple[int, int]], ext: np.ndarray, B_ext: np.ndarray,
+                 f: np.ndarray, grid: Grid2D, params: RefParams, theta: float,
+                 dudt: np.ndarray, dbdt: np.ndarray) -> list[tuple[float, ...]]:
+    """``_rhs_rows`` on each window, from the ghosted strip ``ext`` and
+    ``B_ext`` into the strip's ``dudt`` and ``dbdt``; the windows' stats."""
+    outflow = grid.boundary_y == "outflow"
+    return [_rhs_rows(ext[a:b + 2 * HALO], B_ext[a:b + 2 * HALO], f[a:b],
+                      (a == 0, b == grid.n_y), outflow, grid, params, theta,
+                      dudt[a:b], dbdt[a:b])
+            for a, b in windows]
+
+
+class _StripWorker:
+    """A forked process that runs the upper half of ``rhs2d``'s windows on
+    one grid shape, while the caller runs the lower half.
+
+    One anonymous shared mapping holds the ghosted U and B, which the
+    caller fills, and the strip's dudt and dbdt, whose upper rows the
+    worker fills.  One pipe carries each call's job, the other the
+    worker's window stats or the exception one of its windows raised.
+    """
+
+    def __init__(self, grid: Grid2D):
+        import mmap
+        n_y, n_z = self.shape = grid.n_y, grid.n_zeta
+        shapes = [(5, n_y + 2 * HALO, n_z), (n_y + 2 * HALO, n_z), (5, n_y, n_z),
+                  (n_y, n_z)]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        ext, self.B_ext, dudt, self.dbdt = (
+            flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, np.cumsum(sizes)))
+        # component-first, like the state and fill_ghosts' result
+        self.ext, self.dudt = np.moveaxis(ext, 0, -1), np.moveaxis(dudt, 0, -1)
+        job_r, job_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(job_w)
+                os.close(reply_r)
+                _die_with(parent)
+                self._serve(os.fdopen(job_r, "rb"), os.fdopen(reply_w, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(job_r)
+        os.close(reply_w)
+        self.jobs = os.fdopen(job_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+
+    def _serve(self, jobs, replies) -> None:
+        """The worker's loop, until its job pipe closes."""
+        import signal
+        signal.signal(signal.SIGINT, signal.SIG_IGN)      # the caller's to handle
+        while True:
+            try:
+                windows, grid, g, h_min, theta, f = pickle.load(jobs)
+            except EOFError:
+                return
+            try:
+                reply = _rhs_windows(windows, self.ext, self.B_ext, f, grid,
+                                     RefParams(g, h_min=h_min), theta,
+                                     self.dudt, self.dbdt)
+            except Exception as exc:
+                reply = exc
+            pickle.dump(reply, replies)
+            replies.flush()
+
+    def split(self, windows: list[tuple[int, int]], solution: Solution2D,
+              f: np.ndarray, params: RefParams, theta: float, dudt: np.ndarray,
+              dbdt: np.ndarray) -> list[tuple[float, ...]]:
+        """``_rhs_windows`` over ``windows``: the lower half here, the upper
+        half in the worker at the same time.  The worker's reply is read
+        even when a window here raises, so no job outlives the call; an
+        exception from a worker's window is raised here."""
+        grid = solution.grid
+        ext = fill_ghosts(solution.U, grid.boundary_y, HALO, out=self.ext)
+        B_ext = fill_ghosts(solution.B, grid.boundary_y, HALO, out=self.B_ext)
+        half = len(windows) // 2
+        replied = False
+        try:
+            pickle.dump((windows[half:], grid, params.g, params.h_min, theta, f),
+                        self.jobs)
+            self.jobs.flush()
+            try:
+                stats = _rhs_windows(windows[:half], ext, B_ext, f, grid, params,
+                                     theta, dudt, dbdt)
+            finally:
+                reply = pickle.load(self.replies)
+                replied = True
+        finally:
+            if not replied:               # the pipes are out of step: end the worker
+                _stop_strip(kill=True)
+        if isinstance(reply, BaseException):
+            raise reply
+        lo = windows[half][0]
+        dudt[lo:] = self.dudt[lo:]
+        dbdt[lo:] = self.dbdt[lo:]
+        return stats + reply
+
+    def close(self, kill: bool = False) -> None:
+        """Close the pipes, which ends the worker's loop (or kill it first),
+        and reap it."""
+        if kill:
+            os.kill(self.pid, 9)
+        for pipe in (self.jobs, self.replies):
+            try:
+                pipe.close()
+            except OSError:               # a job left half sent to a dead worker
+                pass
+        os.waitpid(self.pid, 0)
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this process when the thread that forked it
+    exits (Linux ``PR_SET_PDEATHSIG``): a backstop for a caller that dies
+    without closing the job pipe."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, 9)                       # PR_SET_PDEATHSIG, SIGKILL
+    if os.getppid() != parent:            # the caller died before the prctl
+        os._exit(0)
+
+
+#: The strip worker of this process, forked at its first split call.
+_strip: _StripWorker | None = None
+
+
+def _strip_worker(grid: Grid2D) -> _StripWorker:
+    """This process's strip worker for ``grid``'s shape; one for another
+    shape is stopped and replaced."""
+    global _strip
+    if _strip is None or _strip.shape != (grid.n_y, grid.n_zeta):
+        _stop_strip()
+        _strip = _StripWorker(grid)
+    return _strip
+
+
+@atexit.register
+def _stop_strip(kill: bool = False) -> None:
+    """Close the strip worker's pipes (or kill it) and wait for it to exit."""
+    global _strip
+    if _strip is not None:
+        _strip.close(kill)
+        _strip = None
+
+
+def _drop_inherited_strip() -> None:
+    """In a forked child, close the pipes of the parent's strip worker, so
+    that the worker sees its job pipe close when the parent exits, and
+    forget it: the child forks its own worker at its first split."""
+    global _strip
+    if _strip is not None:
+        _strip.jobs.close()
+        _strip.replies.close()
+        _strip = None
+
+
+os.register_at_fork(after_in_child=_drop_inherited_strip)
 
 
 def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,

@@ -191,6 +191,16 @@ class TestRunCommands:
         cpus = len(os.sched_getaffinity(0))
         assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "spectrum_shares": cpus}
 
+    def test_manifest_records_strip_processes(self, tmp_path):
+        # a 200 x 100 strip is two windows: two processes given two CPUs
+        rc = cli.main(["run-reference", "example=2", "case=linear",
+                       "final_time=0.001", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cpus = len(os.sched_getaffinity(0))
+        assert manifest["environment"] == {**SOLVER_ENVIRONMENT,
+                                           "strip_processes": 2 if cpus > 1 else 1}
+
     def test_run_moment_snapshot_header(self, tmp_path):
         rc = cli.main(["run-moment", "example=2", "case=linear", "order=1",
                        "n_cells=16", "final_time=0.01", "--out", str(tmp_path)])
@@ -221,10 +231,11 @@ class TestRunCommands:
         assert len(lines) == 1 + 2 * 5   # two orders, five mean fields
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         cpus = len(os.sched_getaffinity(0))
-        # every worker takes its spectra in one share
+        # every worker takes its spectra in one share and its reference
+        # windows in one process
         assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "usable_cpus": cpus,
                                            "workers": min(3, cpus),
-                                           "spectrum_shares": 1}
+                                           "spectrum_shares": 1, "strip_processes": 1}
 
     def test_custom_initial_conditions(self, tmp_path):
         rc = cli.main(["run-moment", "ic_h=1.0+0.1*exp(-y**2)", "ic_v=0.25",
@@ -322,7 +333,8 @@ class TestRunCommands:
             for rel, digest in tree[mode].items():
                 assert file_sha256(tmp_path / mode / rel) == digest
         manifest = json.loads((tmp_path / "run-reference" / "manifest.json").read_text())
-        assert manifest["environment"] == SOLVER_ENVIRONMENT
+        # a 16 x 8 strip is one window
+        assert manifest["environment"] == {**SOLVER_ENVIRONMENT, "strip_processes": 1}
 
     def test_failing_order_is_one_json_line(self, tmp_path):
         # in a fresh process: pytest's logging plugin would take the

@@ -4,8 +4,10 @@ import ctypes
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -70,6 +72,83 @@ while True:
 assert status == 0, status
 print("fork", flush=True)
 """
+
+
+#: A split reference solve, then a plain fork whose child drops the
+#: inherited strip worker and solves with its own; the parent's worker
+#: still serves the parent afterwards.
+FORK_AFTER_STRIP = """
+import os, time
+from dataclasses import replace
+from mrswm import experiments as ex, model1d, ref2d
+model1d.spectrum_shares = 2
+ref2d.WINDOW_CELLS = 40
+spec = replace(ex.make_spec(3, "sinusoid"), n_cells=24, n_zeta=8, t_final=0.05)
+def solve():
+    sol, stats = ref2d.run2d(ex.initial_reference_solution(spec), ex.ref_params(spec),
+                             spec.t_final)
+    return sol.U.tobytes() + sol.B.tobytes()
+first = solve()
+worker = ref2d._strip.pid
+print("strip", flush=True)
+pid = os.fork()
+if pid == 0:
+    ok = ref2d._strip is None and solve() == first and ref2d._strip.pid != worker
+    os._exit(0 if ok else 1)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        raise SystemExit("forked solve hung")
+    time.sleep(0.05)
+assert status == 0, status
+assert solve() == first and ref2d._strip.pid == worker
+print("fork", flush=True)
+"""
+
+#: A split right-hand side, then the worker's pid, then the way out.  The
+#: first atexit handler runs last, after ref2d's, and says whether the
+#: worker was reaped.  Before os._exit, a sleeping process takes a copy of
+#: the job pipe, so that the pipe stays open and only PR_SET_PDEATHSIG
+#: can end the worker.
+STRIP_THEN_EXIT = """
+import atexit, os, subprocess
+def reaped():
+    try:
+        os.waitpid(worker, os.WNOHANG)
+        print("unreaped", flush=True)
+    except ChildProcessError:
+        print("reaped", flush=True)
+atexit.register(reaped)
+from mrswm import experiments as ex, model1d, ref2d
+model1d.spectrum_shares = 2
+spec = ex.make_spec(2, "linear")
+sol = ex.initial_reference_solution(spec)
+ref2d.rhs2d(sol, ex.ref_params(spec), spec.theta)
+assert ref2d.strip_processes(sol.grid) == 2
+worker = ref2d._strip.pid
+print(worker, flush=True)
+if "{exit}" == "raise":
+    raise RuntimeError("the caller fails")
+if "{exit}" == "_exit":
+    fd = ref2d._strip.jobs.fileno()
+    holder = subprocess.Popen(["sleep", "60"], pass_fds=[fd],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    print(holder.pid, flush=True)
+    os._exit(3)
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def build_example(example, case, order, n_cells, n_zeta):
@@ -303,6 +382,41 @@ class TestComparisonHarness:
                               capture_output=True, text=True, timeout=180)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["pool", "compare", "fork"]
+
+    def test_reference_solve_then_fork_completes(self):
+        # a forked child of a process with a strip worker makes its own
+        script = FORK_AFTER_STRIP
+        env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=180)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["strip", "fork"]
+
+    @pytest.mark.parametrize("exit, code", [("return", 0), ("raise", 1), ("_exit", 3)])
+    def test_no_strip_worker_outlives_its_caller(self, exit, code):
+        # a normal exit or an uncaught exception closes the pipe and reaps
+        # the worker (atexit); os._exit skips that, and with the job pipe
+        # held open elsewhere the worker dies with its caller only through
+        # PR_SET_PDEATHSIG, left at most a zombie for init to reap
+        env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", STRIP_THEN_EXIT.format(exit=exit)],
+                              env=env, capture_output=True, text=True, timeout=180)
+        assert proc.returncode == code, proc.stderr
+        pid, last = proc.stdout.split()
+        if exit == "_exit":
+            holder = int(last)
+            try:
+                deadline = time.monotonic() + 10
+                while running(int(pid)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert running(holder)            # the job pipe is still open
+            finally:
+                os.kill(holder, signal.SIGKILL)
+        else:
+            assert last == "reaped"
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+        assert not running(int(pid))
 
     def test_profile_column_rule_shared(self):
         # moment and reference profiles read the same column, a boundary

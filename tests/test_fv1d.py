@@ -1,6 +1,8 @@
 """Finite-volume machinery tests: limiter, CU flux, exact path integrals
 against dense quadrature, SSP-RK3 order, and conservation on short runs."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -489,6 +491,28 @@ class TestTimeStepping:
                        lambda u, t, d: diags.append(d))
         assert seen == [0.0, 0.1, 0.05]     # stage times t0, t0 + dt, t0 + dt/2
         assert diags == [fv1d.StepDiagnostics((1.1,), 0.1, 0.0)]
+
+    def test_dead_stages_released(self):
+        # each stage's derivative and state are dropped once no later stage
+        # reads them: by the third stage k1, u1 and k2 are gone, and by the
+        # next step's first stage u2 and k3 too
+        states, rates_out, dead = [], [], []
+
+        def rates(state, t):
+            n = len(states)
+            if n % 3 == 2:
+                dead.append([rates_out[n - 2](), states[n - 1](), rates_out[n - 1]()])
+            elif n and n % 3 == 0:
+                dead.append([states[n - 1](), rates_out[n - 1]()])
+            k = -0.5 * state[0]
+            states.append(weakref.ref(state[0]))
+            rates_out.append(weakref.ref(k))
+            return (k,), fv1d.StepDiagnostics((1.0,))
+
+        (u,), t, stats = fv1d.integrate((np.ones(4),), 0.0, 0.5, rates, (0.2,), 0.5,
+                                        (None,))
+        assert stats.n_steps == 5 and len(dead) == 2 * 5 - 1
+        assert all(ref is None for refs in dead for ref in refs)
 
     def test_stage_check_names_time_cell_and_quantity(self):
         def rates(state, t):

@@ -3,6 +3,8 @@ divergence-consistent reconstruction, and cross-checks against the 1-D
 solver on vertically uniform data."""
 
 import logging
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -409,7 +411,9 @@ class TestRhs2D:
 
 
 def rhs_in_windows(monkeypatch, sol, p, theta, rows):
-    """rhs2d run in windows of ``rows`` rows, and the rows of each window."""
+    """rhs2d run in windows of ``rows`` rows, and the rows of each window.
+    One share, so that every window runs in this process, where the spy
+    sees it (a strip worker's windows would not be recorded)."""
     body, sizes = ref2d._rhs_rows, []
 
     def spy(*args):
@@ -417,6 +421,7 @@ def rhs_in_windows(monkeypatch, sol, p, theta, rows):
         return body(*args)
 
     with monkeypatch.context() as m:
+        m.setattr(model1d, "spectrum_shares", 1)
         m.setattr(ref2d, "WINDOW_CELLS", rows * sol.grid.n_zeta)
         m.setattr(ref2d, "_rhs_rows", spy)
         return ref2d.rhs2d(sol, p, theta), sizes
@@ -496,6 +501,123 @@ class TestWindows:
                                      r"or below the floor 5\.0e-01 at t=0\.25$"):
                 ref2d.rhs2d(sol, RefParams(g=1.0, h_min=0.5), 1.3)
         assert caplog.records == []
+
+
+def rhs_in_processes(monkeypatch, sol, p, theta, rows, shares):
+    """rhs2d in windows of ``rows`` rows with ``shares`` CPU shares, and
+    the processes it ran them in."""
+    with monkeypatch.context() as m:
+        m.setattr(model1d, "spectrum_shares", shares)
+        m.setattr(ref2d, "WINDOW_CELLS", rows * sol.grid.n_zeta)
+        return ref2d.rhs2d(sol, p, theta), ref2d.strip_processes(sol.grid)
+
+
+@pytest.fixture
+def fresh_strip_worker():
+    """Stop this process's strip worker before and after the test, so the
+    test's worker is forked after its patches and none outlives them."""
+    ref2d._stop_strip()
+    yield
+    ref2d._stop_strip()
+
+
+class TestStripWorker:
+    @pytest.mark.parametrize("n_y, boundary, rows", [
+        (24, "outflow", 5),          # 5 windows: 2 here, 3 in the worker
+        (23, "periodic", 5),
+        (21, "outflow", 4),          # 6 windows
+        (16, "periodic", 8),         # 2 windows
+        (9, "outflow", 3),           # 3 windows
+    ])
+    def test_split_matches_one_process_bitwise(self, monkeypatch, n_y, boundary, rows):
+        sol, p = varied_solution(n_y, boundary)
+        one, n_one = rhs_in_processes(monkeypatch, sol, p, 1.3, rows, 1)
+        split, n_split = rhs_in_processes(monkeypatch, sol, p, 1.3, rows, 2)
+        assert (n_one, n_split) == (1, 2)
+        assert ref2d._strip is not None and ref2d._strip.shape == (n_y, 8)
+        assert_same_rhs(split, one)
+        assert component_first(split.dudt)
+        # the same numbers as one window over the whole strip
+        assert_same_rhs(split, rhs_in_processes(monkeypatch, sol, p, 1.3, n_y, 2)[0])
+
+    def test_one_window_runs_in_one_process(self, monkeypatch):
+        sol, p = varied_solution()
+        assert rhs_in_processes(monkeypatch, sol, p, 1.3, sol.grid.n_y, 2)[1] == 1
+
+    def test_worker_reads_settings_from_each_job(self, monkeypatch):
+        # a worker forked at one window size, gravity and floor runs the
+        # next call's: each job carries them
+        sol, p = varied_solution(24, "outflow")
+        rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
+        worker = ref2d._strip
+        p2 = RefParams(g=2.5, coriolis=lambda y: 1.0 + y, h_min=1e-6)
+        for rows in (3, 7):
+            split = rhs_in_processes(monkeypatch, sol, p2, 1.7, rows, 2)[0]
+            assert ref2d._strip is worker
+            assert_same_rhs(split, rhs_in_processes(monkeypatch, sol, p2, 1.7, rows, 1)[0])
+
+    @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
+    def test_run2d_split_matches_one_process(self, monkeypatch, boundary):
+        sol, p = varied_solution(20, boundary)
+        finals = []
+        for shares in (1, 2):
+            with monkeypatch.context() as m:
+                m.setattr(model1d, "spectrum_shares", shares)
+                m.setattr(ref2d, "WINDOW_CELLS", 6 * sol.grid.n_zeta)
+                out, stats = ref2d.run2d(sol, p, 0.1)
+            finals.append((out.U.tobytes(), out.B.tobytes(), out.time, stats.n_steps,
+                           stats.max_div_residual))
+        assert finals[0] == finals[1] and finals[0][3] > 1
+
+    def test_error_in_a_worker_window_reaches_the_caller(self, monkeypatch,
+                                                        fresh_strip_worker):
+        body = ref2d._rhs_rows
+
+        def fails_at_the_top(*args):
+            if args[3][1]:                        # the window at the end of the strip
+                raise DryStateError("no water in the top window")
+            return body(*args)
+
+        sol, p = varied_solution(24, "outflow")
+        monkeypatch.setattr(ref2d, "_rhs_rows", fails_at_the_top)
+        with pytest.raises(DryStateError, match="^no water in the top window$"):
+            rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
+        # the worker answered, and serves the next call
+        assert ref2d._strip is not None
+        monkeypatch.setattr(ref2d, "_rhs_rows", body)
+        with pytest.raises(DryStateError, match="^no water in the top window$"):
+            rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
+
+    def test_error_in_a_caller_window_keeps_the_worker_in_step(self, monkeypatch,
+                                                              fresh_strip_worker):
+        body = ref2d._rhs_rows
+
+        def fails_at_the_bottom(*args):
+            if args[3][0]:                        # the window at the start of the strip
+                raise ValueError("bottom window")
+            return body(*args)
+
+        sol, p = varied_solution(24, "outflow")
+        expected = rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 1)[0]
+        with monkeypatch.context() as m:
+            m.setattr(ref2d, "_rhs_rows", fails_at_the_bottom)
+            with pytest.raises(ValueError, match="^bottom window$"):
+                rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
+        worker = ref2d._strip
+        assert_same_rhs(rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0], expected)
+        assert ref2d._strip is worker
+
+    def test_dead_worker_is_replaced(self, monkeypatch, fresh_strip_worker):
+        sol, p = varied_solution(24, "outflow")
+        expected = rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0]
+        pid = ref2d._strip.pid
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises((EOFError, BrokenPipeError)):
+            rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
+        assert ref2d._strip is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)       # reaped
+        assert_same_rhs(rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0], expected)
 
 
 class TestLayout:
