@@ -80,7 +80,7 @@ print("fork", flush=True)
 FORK_AFTER_STRIP = """
 import os, time
 from dataclasses import replace
-from mrswm import experiments as ex, model1d, ref2d
+from mrswm import _strip, experiments as ex, model1d, ref2d
 model1d.spectrum_shares = 2
 ref2d.WINDOW_CELLS = 40
 spec = replace(ex.make_spec(3, "sinusoid"), n_cells=24, n_zeta=8, t_final=0.05)
@@ -89,11 +89,11 @@ def solve():
                              spec.t_final)
     return sol.U.tobytes() + sol.B.tobytes()
 first = solve()
-worker = ref2d._strip.pid
+worker = _strip._worker.pid
 print("strip", flush=True)
 pid = os.fork()
 if pid == 0:
-    ok = ref2d._strip is None and solve() == first and ref2d._strip.pid != worker
+    ok = _strip._worker is None and solve() == first and _strip._worker.pid != worker
     os._exit(0 if ok else 1)
 deadline = time.monotonic() + 60
 while True:
@@ -105,7 +105,7 @@ while True:
         raise SystemExit("forked solve hung")
     time.sleep(0.05)
 assert status == 0, status
-assert solve() == first and ref2d._strip.pid == worker
+assert solve() == first and _strip._worker.pid == worker
 print("fork", flush=True)
 """
 
@@ -123,18 +123,18 @@ def reaped():
     except ChildProcessError:
         print("reaped", flush=True)
 atexit.register(reaped)
-from mrswm import experiments as ex, model1d, ref2d
+from mrswm import _strip, experiments as ex, model1d, ref2d
 model1d.spectrum_shares = 2
 spec = ex.make_spec(2, "linear")
 sol = ex.initial_reference_solution(spec)
 ref2d.rhs2d(sol, ex.ref_params(spec), spec.theta)
 assert ref2d.strip_processes(sol.grid) == 2
-worker = ref2d._strip.pid
+worker = _strip._worker.pid
 print(worker, flush=True)
 if "{exit}" == "raise":
     raise RuntimeError("the caller fails")
 if "{exit}" == "_exit":
-    fd = ref2d._strip.jobs.fileno()
+    fd = _strip._worker.jobs.fileno()
     holder = subprocess.Popen(["sleep", "60"], pass_fds=[fd],
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     print(holder.pid, flush=True)

@@ -5,11 +5,14 @@ solver on vertically uniform data."""
 import logging
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mrswm import experiments, fv1d, model1d, ref2d
+from mrswm import _strip, experiments, fv1d, model1d, ref2d
 from mrswm.errors import DryStateError
 from mrswm.ref2d import Grid2D, RefParams, Solution2D
 
@@ -516,9 +519,9 @@ def rhs_in_processes(monkeypatch, sol, p, theta, rows, shares):
 def fresh_strip_worker():
     """Stop this process's strip worker before and after the test, so the
     test's worker is forked after its patches and none outlives them."""
-    ref2d._stop_strip()
+    _strip.stop()
     yield
-    ref2d._stop_strip()
+    _strip.stop()
 
 
 class TestStripWorker:
@@ -534,11 +537,22 @@ class TestStripWorker:
         one, n_one = rhs_in_processes(monkeypatch, sol, p, 1.3, rows, 1)
         split, n_split = rhs_in_processes(monkeypatch, sol, p, 1.3, rows, 2)
         assert (n_one, n_split) == (1, 2)
-        assert ref2d._strip is not None and ref2d._strip.shape == (n_y, 8)
+        assert _strip._worker is not None and _strip._worker.shape == (n_y, 8)
         assert_same_rhs(split, one)
         assert component_first(split.dudt)
         # the same numbers as one window over the whole strip
         assert_same_rhs(split, rhs_in_processes(monkeypatch, sol, p, 1.3, n_y, 2)[0])
+
+    def test_worker_code_loaded_by_the_first_split_only(self):
+        # a process that never splits a strip neither loads nor compiles it
+        script = ("import sys\n"
+                  "from mrswm import cli, experiments, ref2d\n"
+                  "assert 'mrswm._strip' not in sys.modules\n"
+                  "assert 'mmap' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ref2d.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_one_window_runs_in_one_process(self, monkeypatch):
         sol, p = varied_solution()
@@ -549,11 +563,11 @@ class TestStripWorker:
         # next call's: each job carries them
         sol, p = varied_solution(24, "outflow")
         rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
-        worker = ref2d._strip
+        worker = _strip._worker
         p2 = RefParams(g=2.5, coriolis=lambda y: 1.0 + y, h_min=1e-6)
         for rows in (3, 7):
             split = rhs_in_processes(monkeypatch, sol, p2, 1.7, rows, 2)[0]
-            assert ref2d._strip is worker
+            assert _strip._worker is worker
             assert_same_rhs(split, rhs_in_processes(monkeypatch, sol, p2, 1.7, rows, 1)[0])
 
     @pytest.mark.parametrize("boundary", ["outflow", "periodic"])
@@ -583,7 +597,7 @@ class TestStripWorker:
         with pytest.raises(DryStateError, match="^no water in the top window$"):
             rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
         # the worker answered, and serves the next call
-        assert ref2d._strip is not None
+        assert _strip._worker is not None
         monkeypatch.setattr(ref2d, "_rhs_rows", body)
         with pytest.raises(DryStateError, match="^no water in the top window$"):
             rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
@@ -603,18 +617,18 @@ class TestStripWorker:
             m.setattr(ref2d, "_rhs_rows", fails_at_the_bottom)
             with pytest.raises(ValueError, match="^bottom window$"):
                 rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
-        worker = ref2d._strip
+        worker = _strip._worker
         assert_same_rhs(rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0], expected)
-        assert ref2d._strip is worker
+        assert _strip._worker is worker
 
     def test_dead_worker_is_replaced(self, monkeypatch, fresh_strip_worker):
         sol, p = varied_solution(24, "outflow")
         expected = rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0]
-        pid = ref2d._strip.pid
+        pid = _strip._worker.pid
         os.kill(pid, signal.SIGKILL)
         with pytest.raises((EOFError, BrokenPipeError)):
             rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)
-        assert ref2d._strip is None
+        assert _strip._worker is None
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)       # reaped
         assert_same_rhs(rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0], expected)
