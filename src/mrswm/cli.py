@@ -290,14 +290,17 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
 def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
               max_im_ratio: float, artifacts: list[Path],
               spec: experiments.ExperimentSpec | None = None,
-              environment: dict | None = None) -> None:
+              environment: dict | None = None, job_cost: dict | None = None) -> None:
     """Write manifest.json; ``resolved`` holds the settings of the ``spec``
     that ran, after the example's defaults (Example 1 forces theta = 1);
     ``environment`` holds the Python and numpy versions and the command's
     own ``environment`` entries: for the solver runs, the BLAS library and
     the thread count a march runs it with, for moment runs the shares
     the spectra are cut into, and for reference runs the processes the
-    windows of a right-hand side run in."""
+    windows of a right-hand side run in.  ``job_cost`` (``compare``)
+    holds each job's march time, steps and ms per step; the jobs ran at
+    once in worker processes that shared the CPUs, which
+    ``jobs_shared_cpus`` says."""
     payload = {
         "version": __version__,
         "mode": cfg.mode,
@@ -310,6 +313,8 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         **(environment or {})},
     }
+    if job_cost is not None:
+        payload["job_cost"] = job_cost
     if spec is not None:
         payload["resolved"] = {"theta": spec.theta, "n_cells": spec.n_cells,
                                "n_zeta": spec.n_zeta, "t_final": spec.t_final,
@@ -405,15 +410,20 @@ def _cmd_compare(cfg: RunConfig) -> int:
     tic = time.perf_counter()
     result = experiments.run_comparison(spec, orders)
     artifacts = experiments.write_comparison_outputs(result, out)
-    steps = {"reference": result.ref_stats.n_steps}
-    steps.update({f"M{m}": s.n_steps for m, s in result.moment_stats.items()})
-    _manifest(out, cfg, time.perf_counter() - tic, steps,
+    jobs = {"reference": result.ref_stats,
+            **{f"M{m}": s for m, s in result.moment_stats.items()}}
+    _manifest(out, cfg, time.perf_counter() - tic,
+              {job: s.n_steps for job, s in jobs.items()},
               result.max_im_ratio, artifacts, spec,
               {"usable_cpus": len(os.sched_getaffinity(0)),
                "workers": experiments.comparison_workers(orders),
                # each worker takes its spectra in one share and its
                # reference windows in one process (_init_worker)
-               **fv1d.blas_environment(), "spectrum_shares": 1, "strip_processes": 1})
+               **fv1d.blas_environment(), "spectrum_shares": 1, "strip_processes": 1},
+              {"jobs_shared_cpus": True,
+               **{job: {"solve_s": s.wall_time, "steps": s.n_steps,
+                        "ms_per_step": 1e3 * s.wall_time / max(s.n_steps, 1)}
+                  for job, s in jobs.items()}})
     return EXIT_OK
 
 

@@ -20,6 +20,8 @@ are built from three tensors of basis products,
 
 All integrands are polynomials of degree <= 3M, so a fixed Gauss-Legendre
 rule of sufficient length evaluates every entry exactly up to round-off.
+Entries that the selection rules (``selection_rules``) make zero are stored
+as exact zeros, so contractions over the tensors can skip them.
 """
 
 from __future__ import annotations
@@ -118,13 +120,35 @@ class ClosureTensors:
             arr.setflags(write=False)
 
 
+def selection_rules(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the entries of (A and B, Gamma) that may be nonzero.
+
+    In degrees p, q, r (index + 1), A[p,q,r] and B[p,q,r] vanish unless
+    p + q + r is even and |q - r| <= p <= q + r.  For A that is the rule of
+    Legendre triple products.  For B, phi_p' has the parity of p - 1 and
+    int_0^z phi_q is a sum of phi_{q-1} and phi_{q+1}, which gives the
+    parity, r <= p + q and q <= p + r; integrating by parts, with int_0^z
+    phi_q zero at both ends, moves the derivative onto a product of
+    degree q + r, which gives p <= q + r.  Gamma[p,q] vanishes unless
+    p <= q, since z phi_q' has degree q.  The rules are necessary, not
+    sufficient: B entries (3, 5, 6) and (5, 3, 6), and (6, 9, 11) and
+    (9, 6, 11), vanish by cancellation.
+    """
+    _check_order(order)
+    d = np.arange(1, order + 1)
+    p, q, r = d[:, None, None], d[None, :, None], d[None, None, :]
+    triangle = ((p + q + r) % 2 == 0) & (np.abs(q - r) <= p) & (p <= q + r)
+    return triangle, d[:, None] <= d[None, :]
+
+
 def build_tensors(order: int) -> ClosureTensors:
     """Build the closure tensors for expansion order ``order`` (M >= 0)."""
     _check_order(order)
     # Exact for polynomial integrands of degree <= 3M (A is the worst case);
     # evaluated in extended precision so the stored float64 entries are
-    # within one unit in the last place of the exact rationals, and exact
-    # zeros come out as round-off below 1e-16 (checked up to MAX_ORDER).
+    # within one unit in the last place of the exact rationals.  Entries
+    # the selection rules forbid come out as round-off up to 3.5e-17 and
+    # are stored as exact zeros.
     z, w = gauss_rule(ceil((3 * order + 2) / 2) + 2, extended=True)
     rows = basis_rows(order + 1, z)                     # phi_0 .. phi_{M+1}
     scale = 2.0 * np.arange(1, order + 1).astype(np.longdouble) + 1.0
@@ -137,8 +161,10 @@ def build_tensors(order: int) -> ClosureTensors:
     B = scale[:, None, None] * np.einsum("p,ip,lp,np->iln", w, dphi, iphi, phi)
     Gamma = scale[:, None] * np.einsum("p,p,ip,lp->il", w, z, phi, dphi)
     phi_at_one = basis_rows(order, 1.0)[1:]
-    return ClosureTensors(int(order), A.astype(float), B.astype(float),
-                          Gamma.astype(float), phi_at_one)
+    triangle, upper = selection_rules(order)
+    return ClosureTensors(int(order), np.where(triangle, A.astype(float), 0.0),
+                          np.where(triangle, B.astype(float), 0.0),
+                          np.where(upper, Gamma.astype(float), 0.0), phi_at_one)
 
 
 #: Gauss-Legendre points per panel of ``project_profile``, and the most

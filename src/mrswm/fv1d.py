@@ -263,10 +263,10 @@ def _interface_weights(h_l, h_r, chi_l, chi_r) -> np.ndarray:
 
 def _contract_path(W: np.ndarray, grad: np.ndarray,
                    params: ModelParams) -> np.ndarray:
-    """sum_{c,k} T[r,c,k] W[k] grad[c] as an outer product plus matmul."""
-    n = W.shape[-1]
-    outer = (grad[..., :, None] * W[..., None, :]).reshape(W.shape[:-1] + (n * n,))
-    return outer @ params.path_matrix
+    """sum_{c,k} T[r,c,k] W[k] grad[c] over the (c, k) pairs with a nonzero
+    coefficient (``ModelParams.path_pairs``), as products plus a matmul."""
+    c, k, coef = params.path_pairs
+    return (grad[..., c] * W[..., k]) @ coef
 
 
 def path_integral_cell(u_bar: np.ndarray, slope: np.ndarray, dy: float,

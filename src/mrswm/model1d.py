@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,9 +66,10 @@ class ModelParams:
     h_min: float = DEFAULT_H_MIN
     tol_im: float = DEFAULT_TOL_IM
     q_tensor: np.ndarray = field(init=False, repr=False)
-    path_matrix: np.ndarray = field(init=False, repr=False)
-    flux_matrix: np.ndarray = field(init=False, repr=False)
     jac_matrix: np.ndarray = field(init=False, repr=False)
+    flux_pairs: tuple = field(init=False, repr=False)
+    path_pairs: tuple = field(init=False, repr=False)
+    speed_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.g <= 0.0:
@@ -77,14 +79,15 @@ class ModelParams:
         if self.tensors.order != self.order:
             raise ValueError("tensor order does not match model order")
         self.q_tensor = coupling_tensor(self.tensors)
-        # flattened layouts so the hot contractions run as single matmuls
-        n = self.n_vars
-        self.path_matrix = self.q_tensor.reshape(n, n * n).T.copy()
         C = flux_tensor(self.tensors)
-        self.flux_matrix = C.reshape(n, n * n).T.copy()
+        n = self.n_vars
         # h (dG/dU - Q) is (2C - T) U in every column but the h column
-        self.jac_matrix = (2.0 * C - self.q_tensor).reshape(n * n, n).T.copy()
-
+        jac = 2.0 * C - self.q_tensor
+        self.jac_matrix = jac.reshape(n * n, n).T.copy()
+        # C is symmetric in its last two indices: each unordered product once
+        self.flux_pairs = _pair_list(np.triu(C) + np.triu(C, 1))
+        self.path_pairs = _pair_list(self.q_tensor)
+        self.speed_matrix = _speed_coefficients(jac, self.order)
     @property
     def n_vars(self) -> int:
         return n_vars(self.order)
@@ -134,11 +137,26 @@ def _checked(U: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def quadratic_flux(U: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(U^T C U) / h, the flux without the hydrostatic pressure."""
+    """(U^T C U) / h, the flux without the hydrostatic pressure, from the
+    products U_j U_k that C does not zero (``ModelParams.flux_pairs``)."""
     U = _checked(U, params)
-    n = U.shape[-1]
-    UU = (U[..., :, None] * U[..., None, :]).reshape(U.shape[:-1] + (n * n,))
-    return UU @ params.flux_matrix / U[..., H, None]
+    j, k, coef = params.flux_pairs
+    return _by_state(U[..., j] * U[..., k], coef) / U[..., H, None]
+
+
+def _by_state(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """X @ A as one vector-matrix product per state, so that a state's row
+    does not depend on the batch around it: BLAS rounds the rows of one
+    matrix-matrix product differently with the number of rows."""
+    return (X[..., None, :] @ A)[..., 0, :]
+
+
+def _pair_list(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (a, b) with a nonzero T[:, a, b], and those columns
+    of T as a (pairs, n) matrix: sum_ab T[:, a, b] x_a y_b is
+    (x[a] * y[b]) @ coef."""
+    a, b = np.nonzero(np.any(T != 0.0, axis=0))
+    return a, b, T[:, a, b].T.copy()
 
 
 def flux_tensor(tensors: ClosureTensors) -> np.ndarray:
@@ -282,6 +300,7 @@ def jacobian(U: np.ndarray, params: ModelParams,
     return J
 
 
+@lru_cache(maxsize=None)
 def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index sets (gravity, velocity, magnetic) of the diagonal blocks of J.
 
@@ -289,23 +308,73 @@ def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The gravity block is (h, hv_m, h beta_i, h eta_i).  The transverse
     block pairs velocity components (hu_m, h alpha_i) with their magnetic
     partners (ha_m, h gamma_i); its Elsasser sums and differences
-    (Elsasser 1950) decouple into two (M+1)x(M+1) blocks.
+    (Elsasser 1950) decouple into two (M+1)x(M+1) blocks J_uu +- J_ua.
+
+    Each Elsasser block is the Galerkin compression of multiplication by
+    the profile (v -+ b)(zeta) onto phi_0 .. phi_M, so with
+    D = diag(1 / sqrt(2l + 1)) the block D (J_uu +- J_ua) D^-1 is
+    symmetric: its spectrum is real and lies within [min, max] of
+    (v -+ b) on [0, 1].  Complex eigenvalues, and so the worst |Im|/|Re|
+    ratio, come from the gravity block alone.
     """
     moments = np.arange(5, n_vars(order)).reshape(order, 4)
-    return (np.r_[H, HV, moments[:, [BETA, ETA]].ravel()],
-            np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
+    blocks = (np.r_[H, HV, moments[:, [BETA, ETA]].ravel()],
+              np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
+    for index in blocks:
+        index.setflags(write=False)     # shared by every call (cached)
+    return blocks
 
 
-#: Shares ``eigenvalues`` cuts a batch of states into: one per usable CPU.
-#: ``ref2d.strip_processes`` splits a reference strip when it is above 1.
-#: ``experiments._init_worker`` sets 1 in ``compare``'s worker processes,
-#: which already fill the CPUs.
+def _speed_coefficients(jac: np.ndarray, order: int) -> np.ndarray:
+    """The (n, K) matrix taking U to h times the hb_m entry of J, its
+    gravity block and its two D-scaled Elsasser blocks, flattened in that
+    order; ``jac`` is the tensor 2C - T of ``ModelParams``.  The Elsasser
+    coefficients are made exactly symmetric, since ``eigvalsh`` reads one
+    triangle (before that they are symmetric to round-off)."""
+    n = n_vars(order)
+    grav, vel, mag = spectral_blocks(order)
+    root = np.sqrt(2.0 * np.arange(order + 1) + 1.0)
+    scale = (root[None, :] / root[:, None])[..., None]
+    columns = [jac[HB, HB][None], jac[grav[:, None], grav].reshape(-1, n)]
+    for sign in (1.0, -1.0):
+        block = scale * (jac[vel[:, None], vel] + sign * jac[vel[:, None], mag])
+        columns.append((0.5 * (block + block.swapaxes(0, 1))).reshape(-1, n))
+    return np.concatenate(columns).T.copy()
+
+
+def _spectral_matrices(U: np.ndarray, params: ModelParams,
+                       quad: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The hb_m entries (N,), gravity blocks (N, 2M+2, 2M+2) and D-scaled
+    Elsasser blocks (N, M+1, M+1) of J for a batch of N states, from one
+    product per state (``_by_state``): the blocks of a state do not depend
+    on the batch it comes in, nor on how the batch is cut into shares."""
+    U = _checked(U, params).reshape(-1, params.n_vars)
+    h = U[:, H]
+    if quad is None:
+        quad = quadratic_flux(U, params)
+    quad = quad.reshape(U.shape)
+    grav = spectral_blocks(params.order)[0]
+    k, m = len(grav), params.order + 1
+    X = _by_state(U, params.speed_matrix)
+    X /= h[:, None]
+    blocks = np.split(X, np.cumsum([1, k * k, m * m]), axis=1)
+    hb = blocks[0][:, 0]
+    gravity = blocks[1].reshape(-1, k, k)
+    gravity[:, :, 0] -= quad[:, grav] / h[:, None]
+    gravity[:, 1, 0] += params.g * h
+    return hb, gravity, blocks[2].reshape(-1, m, m), blocks[3].reshape(-1, m, m)
+
+
+#: Shares a batch of states is cut into for its spectra: one per usable
+#: CPU.  ``ref2d.strip_processes`` splits a reference strip when it is
+#: above 1.  ``experiments._init_worker`` sets 1 in ``compare``'s worker
+#: processes, which already fill the CPUs.
 spectrum_shares = len(os.sched_getaffinity(0))
-#: Jacobian entries (states x (5 + 4M)^2) of the smallest batch that
-#: ``eigenvalues`` splits.  Two shares cost about 0.3 ms more than one
-#: in thread hand-offs, and at one BLAS thread they won on a 2-core
-#: machine from about 128 states at M = 3 (37k entries), 256 at M = 1..2
-#: (21k, 43k) and not below 402 at M = 0 (10k).
+#: Jacobian entries (states x (5 + 4M)^2) of the smallest batch whose
+#: spectra are split.  Two shares cost about 0.3 ms more than one in
+#: thread hand-offs, and at one BLAS thread they won on a 2-core machine
+#: from about 128 states at M = 3 (37k entries), 256 at M = 1..2 (21k,
+#: 43k) and not below 402 at M = 0 (10k).
 MIN_SPLIT_ENTRIES = 32_768
 
 _pool: ThreadPoolExecutor | None = None
@@ -313,8 +382,8 @@ _pool_pid: int | None = None
 
 
 def spectrum_split(n_states: int, n: int) -> int:
-    """Shares ``eigenvalues`` cuts a batch of ``n_states`` states of
-    ``n`` components into."""
+    """Shares a batch of ``n_states`` states of ``n`` components is cut
+    into for its spectra."""
     return spectrum_shares if n_states * n * n >= MIN_SPLIT_ENTRIES else 1
 
 
@@ -329,16 +398,72 @@ def _spectrum_pool() -> ThreadPoolExecutor:
     return _pool
 
 
-def _block_spectra(J: np.ndarray, grav: np.ndarray, vel: np.ndarray,
-                   mag: np.ndarray) -> np.ndarray:
-    """The spectra of the diagonal blocks of a stack of Jacobians.  It runs
-    on the spectrum threads, so it calls numpy only."""
-    J_uu = J[..., vel[:, None], vel]
-    J_ua = J[..., vel[:, None], mag]
-    return np.concatenate([J[..., HB, HB, None].astype(complex),
-                           np.linalg.eigvals(J[..., grav[:, None], grav]),
-                           np.linalg.eigvals(J_uu + J_ua),
-                           np.linalg.eigvals(J_uu - J_ua)], axis=-1)
+def _in_shares(per_share: Callable, blocks: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """``per_share(*blocks)`` with the batch cut into ``spectrum_split``
+    contiguous shares, the first on the calling thread and the others on
+    the pool (numpy's eigenvalue loops release the GIL).  Each state's
+    result is computed on its own, so it is bitwise the same as in one
+    share."""
+    size = len(blocks[0])
+    shares = spectrum_split(size, n)
+    if shares == 1:
+        return per_share(*blocks)
+    cuts = [size * k // shares for k in range(shares + 1)]
+    parts = [[b[lo:hi] for b in blocks] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    pool = _spectrum_pool()
+    futures = [pool.submit(per_share, *part) for part in parts[1:]]
+    try:
+        first = per_share(*parts[0])
+    finally:
+        wait(futures)           # no share outlives the call, even on an error
+    return np.concatenate([first] + [f.result() for f in futures])
+
+
+def _block_spectra(hb: np.ndarray, gravity: np.ndarray, plus: np.ndarray,
+                   minus: np.ndarray) -> np.ndarray:
+    """The spectra of one share's blocks.  It runs on the spectrum threads,
+    so it calls numpy only."""
+    return np.concatenate([hb[:, None].astype(complex), np.linalg.eigvals(gravity),
+                           np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)], axis=-1)
+
+
+#: Relative round-off allowed for a Gershgorin interval: LAPACK's
+#: symmetric eigenvalues are within a small multiple of eps times the
+#: block's norm of the exact ones, far below this.
+_GERSHGORIN_PAD = 1e-12
+
+
+def _may_leave(S: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """States whose symmetric block S may have an eigenvalue outside
+    [lo, hi]: the Gershgorin interval, widened by round-off, is not inside."""
+    diag = np.diagonal(S, axis1=-2, axis2=-1)
+    reach = np.abs(S).sum(axis=-1)                  # |S_ii| + radius_i
+    radius = reach - np.abs(diag)
+    pad = _GERSHGORIN_PAD * reach.max(axis=-1)
+    return (((diag - radius).min(axis=-1) - pad < lo)
+            | ((diag + radius).max(axis=-1) + pad > hi))
+
+
+def _speed_extremes(hb: np.ndarray, gravity: np.ndarray, plus: np.ndarray,
+                    minus: np.ndarray) -> np.ndarray:
+    """Per state of one share, the least and greatest real part and the
+    greatest |Im| of the spectrum, as an (N, 3) array.
+
+    The Elsasser blocks are symmetric with real eigenvalues, so they can
+    move only the real extremes, and only where their Gershgorin interval
+    is not inside the real range of the gravity eigenvalues and hb_m;
+    ``eigvalsh`` runs for those states alone.  The extremes equal those of
+    ``_block_spectra``'s spectrum bitwise.  Calls numpy only."""
+    lam = np.linalg.eigvals(gravity)
+    lo = np.minimum(lam.real.min(axis=-1), hb)
+    hi = np.maximum(lam.real.max(axis=-1), hb)
+    need = _may_leave(plus, lo, hi) | _may_leave(minus, lo, hi)
+    if need.any():
+        els = np.concatenate([np.linalg.eigvalsh(plus[need]),
+                              np.linalg.eigvalsh(minus[need])], axis=-1)
+        lo[need] = np.minimum(lo[need], els.min(axis=-1))
+        hi[need] = np.maximum(hi[need], els.max(axis=-1))
+    return np.stack([lo, hi, np.abs(lam.imag).max(axis=-1)], axis=-1)
 
 
 def eigenvalues(U: np.ndarray, params: ModelParams,
@@ -346,34 +471,17 @@ def eigenvalues(U: np.ndarray, params: ModelParams,
     """Complex spectrum of J(U), batched along leading axes.
 
     The union of the spectra of the diagonal blocks (``spectral_blocks``):
-    the scalar hb_m entry, the gravity block, and the Elsasser blocks
-    J_uu + J_ua and J_uu - J_ua of the transverse block.  ``quad`` is
-    passed on to ``jacobian``.
+    the scalar hb_m entry, the gravity block (``eigvals``), and the
+    D-scaled Elsasser blocks (``eigvalsh``, real).  ``quad`` is
+    ``quadratic_flux(U)`` when the caller has it.
 
     A batch of at least ``MIN_SPLIT_ENTRIES`` Jacobian entries is cut into
-    ``spectrum_shares`` contiguous shares whose spectra are taken at once,
-    the first on the calling thread and the others on a thread pool
-    (numpy's eigenvalue loops release the GIL).  Each matrix's eigenvalues
-    are computed on their own, so the result is bitwise the same as in
-    one share.
+    ``spectrum_shares`` contiguous shares whose spectra are taken at once
+    (``_in_shares``); the result is bitwise the same as in one share.
     """
-    J = jacobian(U, params, quad)
-    blocks = spectral_blocks(params.order)
-    n = J.shape[-1]
-    flat = J.reshape(-1, n, n)
-    shares = spectrum_split(len(flat), n)
-    if shares == 1:
-        return _block_spectra(J, *blocks)
-    cuts = [len(flat) * k // shares for k in range(shares + 1)]
-    parts = [flat[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    pool = _spectrum_pool()
-    futures = [pool.submit(_block_spectra, part, *blocks) for part in parts[1:]]
-    try:
-        first = _block_spectra(parts[0], *blocks)
-    finally:
-        wait(futures)           # no share outlives the call, even on an error
-    lam = [first] + [f.result() for f in futures]
-    return np.concatenate(lam).reshape(J.shape[:-1])
+    U = np.asarray(U, dtype=float)
+    blocks = _spectral_matrices(U, params, quad)
+    return _in_shares(_block_spectra, blocks, params.n_vars).reshape(U.shape)
 
 
 def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
@@ -390,13 +498,20 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
     "left" or "right").
     ``quad`` is the quadratic flux of the left states followed by the
     right ones, when the caller has it.
+
+    The spectrum's extremes come from ``_speed_extremes``: the gravity
+    eigenvalues, hb_m, and the real Elsasser eigenvalues only of states
+    whose Gershgorin bound does not already place them inside that range.
+    So max|Im| is the gravity block's, and s-, s+ and every ratio are
+    bitwise those of the full ``eigenvalues`` spectrum.  Spectra are
+    split into shares as in ``eigenvalues``.
     """
     tol = params.tol_im if tol_im is None else tol_im
     stacked = np.concatenate([np.atleast_2d(U_left), np.atleast_2d(U_right)])
-    lam = eigenvalues(stacked, params, quad)
+    blocks = _spectral_matrices(stacked, params, quad)
+    lo, hi, im = _in_shares(_speed_extremes, blocks, params.n_vars).T
     # per state max|Im| / max|Re|; above tol_im hyperbolicity is lost
-    ratios = (np.abs(lam.imag).max(axis=-1)
-              / np.maximum(np.abs(lam.real).max(axis=-1), 1e-14))
+    ratios = im / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-14)
     half = stacked.shape[0] // 2
     worst = float(ratios.max()) if ratios.size else 0.0
     if worst > tol:
@@ -406,8 +521,6 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
             f"complex eigenvalue ratio {worst:.3e} exceeds {tol:.3e} "
             f"in the {side} state of interface {iface}",
             ratio=worst, location=(iface, side))
-    both = np.concatenate([lam[:half].real, lam[half:].real], axis=-1)
-    s_plus = np.maximum(both.max(axis=-1), 0.0)
-    s_minus = np.minimum(both.min(axis=-1), 0.0)
+    s_plus = np.maximum(np.maximum(hi[:half], hi[half:]), 0.0)
+    s_minus = np.minimum(np.minimum(lo[:half], lo[half:]), 0.0)
     return s_minus, s_plus, worst
-

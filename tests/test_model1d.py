@@ -426,15 +426,22 @@ class TestLocalSpeeds:
 
 
 def spy_on_shares(monkeypatch):
-    """Record the number of states of each share ``eigenvalues`` takes."""
+    """Record the number of states of each share whose spectra
+    ``eigenvalues`` (``_block_spectra``) or ``interface_speeds``
+    (``_speed_extremes``) take."""
     sizes = []
-    block_spectra = model1d._block_spectra
 
-    def spy(J, *blocks):
-        sizes.append(len(J))
-        return block_spectra(J, *blocks)
+    def spy_on(name):
+        per_share = getattr(model1d, name)
 
-    monkeypatch.setattr(model1d, "_block_spectra", spy)
+        def spy(hb, *blocks):
+            sizes.append(len(hb))
+            return per_share(hb, *blocks)
+
+        monkeypatch.setattr(model1d, name, spy)
+
+    spy_on("_block_spectra")
+    spy_on("_speed_extremes")
     return sizes
 
 

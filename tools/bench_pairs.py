@@ -99,6 +99,9 @@ def main(argv=None) -> int:
                         help="new directory for the two source trees")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        # the quartiles of the summary need two runs per side
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     trees = {side: args.work / side for side in ("parent", "change")}
     shas = {side: export(rev, trees[side])
