@@ -13,13 +13,25 @@ matrix Q(U) that multiplies U_y, the analytic flux Jacobian
 J = dG/dU - Q, and one-sided local wave-speed bounds with monitoring of
 complex eigenvalue contamination.  The flux is a quadratic form in U over
 h plus the hydrostatic pressure; its coefficients form a constant tensor
-(``flux_tensor``), so G and dG/dU are single contractions.
+(``flux_tensor``), so G and dG/dU are single contractions.  G multiplies
+only the pairs U_j U_k the closure's selection rules leave nonzero.
 
 Every nonzero entry of Q(U) is a constant-coefficient linear combination
 of conserved components divided by h.  That structure is captured once in
 a third-order coefficient tensor (``coupling_tensor``) so that both the
 pointwise matrix and the exact path integrals of the scheme contract
 against the same data.
+
+The spectrum of J is the union of those of its diagonal blocks
+(``spectral_blocks``): the hb_m entry, the gravity block and two Elsasser
+blocks.  Scaled by D = diag(1 / sqrt(2l + 1)) each Elsasser block is
+symmetric, so its eigenvalues are real and lie within the range of the
+profile (v -+ b)(zeta).  The speed bounds therefore take the gravity
+eigenvalues and a Gershgorin interval per Elsasser block, and solve an
+Elsasser block only where that interval leaves the range of the other
+eigenvalues; the worst |Im|/|Re| ratio comes from the gravity block
+alone.  The blocks are built straight from U through one precomputed
+matrix, without forming J.
 """
 
 from __future__ import annotations
@@ -88,6 +100,7 @@ class ModelParams:
         self.flux_pairs = _pair_list(np.triu(C) + np.triu(C, 1))
         self.path_pairs = _pair_list(self.q_tensor)
         self.speed_matrix = _speed_coefficients(jac, self.order)
+
     @property
     def n_vars(self) -> int:
         return n_vars(self.order)

@@ -237,6 +237,23 @@ class TestRunCommands:
                                            "workers": min(3, cpus),
                                            "spectrum_shares": 1, "strip_processes": 1}
 
+    def test_compare_manifest_records_job_cost(self, tmp_path):
+        rc = cli.main(["compare", "example=2", "case=linear", "orders=0,2",
+                       "n_cells=24", "n_zeta=8", "final_time=0.05",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cost = dict(manifest["job_cost"])
+        # the jobs ran at once in worker processes sharing the CPUs
+        assert cost.pop("jobs_shared_cpus") is True
+        assert set(cost) == {"reference", "M0", "M2"} == set(manifest["n_steps"])
+        for job, entry in cost.items():
+            assert set(entry) == {"solve_s", "steps", "ms_per_step"}
+            assert entry["steps"] == manifest["n_steps"][job] > 0
+            assert 0.0 < entry["solve_s"] < manifest["wall_time_s"]
+            assert entry["ms_per_step"] == pytest.approx(
+                1e3 * entry["solve_s"] / entry["steps"], rel=1e-12)
+
     def test_custom_initial_conditions(self, tmp_path):
         rc = cli.main(["run-moment", "ic_h=1.0+0.1*exp(-y**2)", "ic_v=0.25",
                        "order=0", "n_cells=16", "final_time=0.01",

@@ -7,6 +7,7 @@ tensor entry with a 200-node Gauss rule.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +188,71 @@ class TestTensors:
         t = closure.build_tensors(2)
         with pytest.raises(ValueError):
             t.A[0, 0, 0] = 1.0
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] += x * y
+    return out
+
+
+def _poly_integral(p):
+    """int_0^1 of a polynomial given by its monomial coefficients."""
+    return sum(x / (k + 1) for k, x in enumerate(p))
+
+
+def exact_tensors(order):
+    """A, B and Gamma as exact rationals (object arrays), from the monomial
+    coefficients of phi_l(z) = P_l(1 - 2z) = sum_k (-1)^k C(l,k) C(l+k,k) z^k."""
+    phi = [[Fraction((-1) ** k * math.comb(l, k) * math.comb(l + k, k))
+            for k in range(l + 1)] for l in range(1, order + 1)]
+    dphi = [[k * p[k] for k in range(1, len(p))] for p in phi]
+    iphi = [[Fraction(0)] + [x / (k + 1) for k, x in enumerate(p)] for p in phi]
+    A = np.zeros((order,) * 3, dtype=object)
+    B = np.zeros((order,) * 3, dtype=object)
+    G = np.zeros((order,) * 2, dtype=object)
+    for i in range(order):
+        for l in range(order):
+            G[i, l] = (2 * i + 3) * _poly_integral(
+                _poly_mul([Fraction(0), Fraction(1)], _poly_mul(phi[i], dphi[l])))
+            pp, dp = _poly_mul(phi[i], phi[l]), _poly_mul(dphi[i], iphi[l])
+            for n in range(order):
+                A[i, l, n] = (2 * i + 3) * _poly_integral(_poly_mul(pp, phi[n]))
+                B[i, l, n] = (2 * i + 3) * _poly_integral(_poly_mul(dp, phi[n]))
+    return A, B, G
+
+
+class TestSelectionRules:
+    """Entries the selection rules forbid vanish exactly and are stored as
+    exact zeros."""
+
+    def test_rules_against_exact_rationals(self):
+        order = closure.MAX_ORDER
+        A, B, G = exact_tensors(order)
+        triangle, upper = closure.selection_rules(order)
+        # necessary: nothing the rules forbid is nonzero; for A and Gamma
+        # also sufficient
+        assert np.array_equal(A != 0, triangle)
+        assert np.array_equal(G != 0, upper)
+        assert not np.any((B != 0) & ~triangle)
+        cancelled = {tuple(int(d) for d in idx + 1)
+                     for idx in np.argwhere(triangle & (B == 0))}
+        assert cancelled == {(3, 5, 6), (5, 3, 6), (6, 9, 11), (9, 6, 11)}
+        t = closure.build_tensors(order)
+        for stored, exact in ((t.A, A), (t.B, B), (t.Gamma, G)):
+            exact = exact.astype(float)
+            assert np.abs(stored - exact).max() <= 4e-16 * max(1.0, np.abs(exact).max())
+
+    @pytest.mark.parametrize("order", range(closure.MAX_ORDER + 1))
+    def test_forbidden_entries_are_exact_zeros(self, order):
+        t = closure.build_tensors(order)
+        triangle, upper = closure.selection_rules(order)
+        assert triangle.shape == t.A.shape and upper.shape == t.Gamma.shape
+        assert np.all(t.A[~triangle] == 0.0)
+        assert np.all(t.B[~triangle] == 0.0)
+        assert np.all(t.Gamma[~upper] == 0.0)
 
 
 class TestProjection:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrswm import closure, fv1d, model1d
+from mrswm import closure, experiments, fv1d, model1d
 from mrswm.errors import DryStateError, HyperbolicityError
 from mrswm.fv1d import Grid1D, Solution1D
 from mrswm.model1d import ModelParams
@@ -588,6 +588,33 @@ class TestTimeStepping:
         assert abs(m1 - m0) <= 1e-11 * abs(m0)
         assert np.abs(final.cells[:, 4] - 1.1).max() <= 1.1e-12
         assert stats.n_steps > 0
+
+
+class TestMomentSelfConvergence:
+    """Example 2, linear case, at M = 1: b != 0, so the path integrals of
+    the nonconservative products are active.  Runs on 50, 100 and 200
+    cells against 800 at t = 0.1 must converge with an observed order of
+    at least 1.5, the floor for a second-order scheme, in h, hv_m,
+    h beta_1 and h eta_1."""
+
+    def test_order_one_example2_linear(self):
+        cells = {}
+        for n in (50, 100, 200, 800):
+            spec = experiments.make_spec(2, "linear")
+            spec.n_cells, spec.t_final = n, 0.1
+            sol, _ = fv1d.run(experiments.initial_moment_solution(spec, 1),
+                              experiments.model_params(spec, 1), spec.t_final,
+                              nu=spec.nu, theta=spec.theta)
+            assert sol.time == pytest.approx(0.1, abs=1e-14)
+            cells[n] = sol.cells
+        fields = [model1d.H, model1d.HV, model1d.moment_index(1, model1d.BETA),
+                  model1d.moment_index(1, model1d.ETA)]
+        errs = []
+        for n in (50, 100, 200):
+            restricted = cells[800].reshape(n, 800 // n, -1).mean(axis=1)
+            errs.append(np.abs(cells[n] - restricted)[:, fields].sum(axis=0) * 2.0 / n)
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 1.5), orders
 
 
 class TestBlasPin:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mrswm import closure, model1d
+from mrswm import closure, experiments, fv1d, model1d
 from mrswm.errors import DryStateError, HyperbolicityError
 
 
@@ -485,6 +485,27 @@ class TestSpectrumSplit:
                 assert len(sizes) == (shares if n >= cut else 1)
                 assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("order", [0, 3, 5])
+    def test_speeds_split_match_one_share_bitwise(self, order, monkeypatch,
+                                                  fast_thread_switches):
+        # strong states, so that some take the eigvalsh fallback
+        p = params_for(order)
+        rng = np.random.default_rng(40 + order)
+        cut = split_cut(order)
+        sizes = spy_on_shares(monkeypatch)
+        for n_if in (1, cut // 2, cut // 2 + 1, cut + 3):
+            U_left, U_right = (random_states(rng, order, n_if, mag=2.0) for _ in "lr")
+            monkeypatch.setattr(model1d, "spectrum_shares", 1)
+            whole = model1d.interface_speeds(U_left, U_right, p, tol_im=np.inf)
+            for shares in (2, 3):
+                monkeypatch.setattr(model1d, "spectrum_shares", shares)
+                sizes.clear()
+                split = model1d.interface_speeds(U_left, U_right, p, tol_im=np.inf)
+                assert [a.tobytes() for a in split[:2]] == [a.tobytes() for a in whole[:2]]
+                assert split[2] == whole[2]
+                assert sum(sizes) == 2 * n_if
+                assert len(sizes) == (shares if 2 * n_if >= cut else 1)
+
     def test_split_keeps_leading_axes(self, monkeypatch):
         p = params_for(2)
         rows = split_cut(2) // 3 + 2
@@ -521,6 +542,128 @@ class TestSpectrumSplit:
             errors.append((str(info.value), info.value.ratio, info.value.location))
         assert errors[0] == errors[1]
         assert errors[0][2] == (n_if - 1, "right")
+
+
+def profile_range(mean, moments):
+    """Exact min and max on [0, 1] of mean + sum_l moments[l-1] phi_l(z):
+    with x = 1 - 2z it is a Legendre series on [-1, 1], whose extrema lie
+    at the end points or at real roots of its derivative."""
+    series = np.polynomial.Legendre(np.r_[mean, moments])
+    crit = series.deriv().roots() if len(moments) > 1 else np.array([])
+    crit = crit[np.isreal(crit)].real
+    x = np.r_[-1.0, 1.0, crit[np.abs(crit) <= 1.0]]
+    values = series(x)
+    return values.min(), values.max()
+
+
+def elsasser_slices(order):
+    """Where ``eigenvalues`` puts the J_uu + J_ua and J_uu - J_ua spectra."""
+    start = 1 + len(model1d.spectral_blocks(order)[0])
+    m = order + 1
+    return slice(start, start + m), slice(start + m, start + 2 * m)
+
+
+def strong_state(rng, order, h, amp):
+    U = np.empty(model1d.n_vars(order))
+    U[0] = h
+    U[1:] = amp * h * rng.normal(size=U.size - 1)
+    return U
+
+
+class TestElsasserStructure:
+    """With D = diag(1 / sqrt(2l + 1)), D (J_uu +- J_ua) D^-1 is symmetric:
+    the Galerkin compression of multiplication by (v -+ b)(zeta).  Its
+    spectrum is real and inside the range of that profile, and the speed
+    bounds need it only where a Gershgorin interval does not already place
+    it inside the range of the other eigenvalues."""
+
+    @pytest.mark.parametrize("order", range(closure.MAX_ORDER + 1))
+    def test_scaled_coefficients_symmetric(self, order):
+        p = params_for(order)
+        jac = 2.0 * model1d.flux_tensor(p.tensors) - p.q_tensor
+        _, vel, mag = model1d.spectral_blocks(order)
+        root = np.sqrt(2.0 * np.arange(order + 1) + 1.0)
+        scale = (root[None, :] / root[:, None])[..., None]
+        m, n = order + 1, p.n_vars
+        stored = p.speed_matrix[:, -2 * m * m:].T.reshape(2, m, m, n)
+        for block, sign in zip(stored, (1.0, -1.0)):
+            S = scale * (jac[vel[:, None], vel] + sign * jac[vel[:, None], mag])
+            assert np.abs(S - S.swapaxes(0, 1)).max() <= 4e-16 * max(np.abs(S).max(), 1.0)
+            # the stored coefficients are those, symmetrised exactly
+            assert np.array_equal(block, block.swapaxes(0, 1))
+            assert np.abs(block - S).max() <= 4e-16 * max(np.abs(S).max(), 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+           h=st.floats(0.1, 3.0), amp=st.floats(0.01, 3.0))
+    def test_spectrum_within_profile_range(self, order, seed, h, amp):
+        p = params_for(order)
+        U = strong_state(np.random.default_rng(seed), order, h, amp)
+        lam = model1d.eigenvalues(U, p)
+        moments = np.arange(5, p.n_vars).reshape(order, 4)
+        v = np.r_[U[model1d.HV], U[moments[:, model1d.BETA]]] / h
+        b = np.r_[U[model1d.HB], U[moments[:, model1d.ETA]]] / h
+        for part, profile in zip(elsasser_slices(order), (v - b, v + b)):
+            lo, hi = profile_range(profile[0], profile[1:])
+            tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
+            assert np.all(lam[part].imag == 0.0)
+            assert lo - tol <= lam[part].real.min() and lam[part].real.max() <= hi + tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           amp=st.floats(0.01, 3.0), n_if=st.integers(1, 40))
+    def test_speeds_bitwise_from_full_spectrum(self, order, seed, amp, n_if):
+        p = params_for(order)
+        U = random_states(np.random.default_rng(seed), order, 2 * n_if, mag=amp)
+        sm, sp_, worst = model1d.interface_speeds(U[:n_if], U[n_if:], p, tol_im=np.inf)
+        lam = model1d.eigenvalues(U, p)
+        ratios = (np.abs(lam.imag).max(axis=-1)
+                  / np.maximum(np.abs(lam.real).max(axis=-1), 1e-14))
+        both = np.concatenate([lam[:n_if].real, lam[n_if:].real], axis=-1)
+        assert sp_.tobytes() == np.maximum(both.max(axis=-1), 0.0).tobytes()
+        assert sm.tobytes() == np.minimum(both.min(axis=-1), 0.0).tobytes()
+        assert worst == ratios.max()
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_fallback_states_bitwise(self, order, monkeypatch):
+        # strong states where some Elsasser spectra leave the gravity range;
+        # each state's bounds equal its own one-state spectrum's
+        p = params_for(order)
+        rng = np.random.default_rng(order)
+        strong = np.arange(60)[:, None] % 3 == 0
+        U = np.where(strong, random_states(rng, order, 60, mag=2.0),
+                     random_states(rng, order, 60, mag=0.2))
+        fallback = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            fallback.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        sm, sp_, _ = model1d.interface_speeds(U[:30], U[30:], p, tol_im=np.inf)
+        assert 0 < sum(fallback) < 2 * len(U)     # states, once per block
+        monkeypatch.undo()
+        lam = np.stack([model1d.eigenvalues(u, p) for u in U]).real
+        assert sp_.tobytes() == np.maximum(np.maximum(lam[:30].max(axis=-1),
+                                                      lam[30:].max(axis=-1)), 0.0).tobytes()
+        assert sm.tobytes() == np.minimum(np.minimum(lam[:30].min(axis=-1),
+                                                     lam[30:].min(axis=-1)), 0.0).tobytes()
+
+    def test_rhs_builds_no_full_jacobian(self, monkeypatch):
+        spec = experiments.make_spec(2, "linear")
+        spec.n_cells = 16
+        p = experiments.model_params(spec, 3)
+        sol = experiments.initial_moment_solution(spec, 3)
+        expected = fv1d.rhs(sol, p, spec.theta)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the right-hand side took a full Jacobian")
+
+        monkeypatch.setattr(model1d, "jacobian", forbidden)
+        monkeypatch.setattr(model1d, "eigenvalues", forbidden)
+        got = fv1d.rhs(sol, p, spec.theta)
+        assert got.dudt.tobytes() == expected.dudt.tobytes()
 
 
 def elsasser_flip(order):
