@@ -305,7 +305,7 @@ def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
     U_l = rec.north[:-1]        # left of interface i (n+1, nvar)
     U_r = rec.south[1:]         # right of interface i
     both = np.concatenate([U_l, U_r])
-    quad = model1d.quadratic_flux(both, params)   # shared by J and G
+    quad = model1d.quadratic_flux(both, params)   # shared by the speeds and G
     s_minus, s_plus, im_ratio = model1d.interface_speeds(U_l, U_r, params,
                                                          quad=quad)
 
@@ -393,7 +393,7 @@ def _one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS at one thread, then
     restore its previous count.  The moment solver's small matmuls gain
     nothing from a second thread, whose spinning would take the core the
-    spectrum threads (``model1d.eigenvalues``) need."""
+    spectrum threads (``model1d.interface_speeds``) need."""
     blas = _openblas()
     if blas is None:
         yield
@@ -425,7 +425,7 @@ def integrate(state: State, t0: float, t_final: float, rhs: Callable,
     after each step.  The march runs numpy's bundled OpenBLAS at one
     thread and restores its thread count on the way out, returning or
     raising: the CPUs are left to the spectrum threads of
-    ``model1d.eigenvalues`` (the reference solver makes no BLAS calls).
+    ``model1d.interface_speeds`` (the reference solver makes no BLAS calls).
     """
     if not 0.0 < nu <= 0.5:
         raise ValueError(f"CFL number nu={nu} outside (0, 0.5]")

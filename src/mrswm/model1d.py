@@ -22,16 +22,12 @@ a third-order coefficient tensor (``coupling_tensor``) so that both the
 pointwise matrix and the exact path integrals of the scheme contract
 against the same data.
 
-The spectrum of J is the union of those of its diagonal blocks
-(``spectral_blocks``): the hb_m entry, the gravity block and two Elsasser
-blocks.  Scaled by D = diag(1 / sqrt(2l + 1)) each Elsasser block is
-symmetric, so its eigenvalues are real and lie within the range of the
-profile (v -+ b)(zeta).  The speed bounds therefore take the gravity
-eigenvalues and a Gershgorin interval per Elsasser block, and solve an
-Elsasser block only where that interval leaves the range of the other
-eigenvalues; the worst |Im|/|Re| ratio comes from the gravity block
-alone.  The blocks are built straight from U through one precomputed
-matrix, without forming J.
+The spectrum of J is that of its hb_m entry, its gravity block and two
+Elsasser blocks, built straight from U without forming J.  Scaled, an
+Elsasser block is symmetric with a real spectrum inside the range of
+(v -+ b)(zeta) (``spectral_blocks``), so the speed bounds solve it only
+where a Gershgorin interval leaves the range of the other eigenvalues,
+and the worst |Im|/|Re| ratio comes from the gravity block alone.
 """
 
 from __future__ import annotations
@@ -460,13 +456,9 @@ def _may_leave(S: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _speed_extremes(hb: np.ndarray, gravity: np.ndarray, plus: np.ndarray,
                     minus: np.ndarray) -> np.ndarray:
     """Per state of one share, the least and greatest real part and the
-    greatest |Im| of the spectrum, as an (N, 3) array.
-
-    The Elsasser blocks are symmetric with real eigenvalues, so they can
-    move only the real extremes, and only where their Gershgorin interval
-    is not inside the real range of the gravity eigenvalues and hb_m;
-    ``eigvalsh`` runs for those states alone.  The extremes equal those of
-    ``_block_spectra``'s spectrum bitwise.  Calls numpy only."""
+    greatest |Im| of the spectrum, as an (N, 3) array.  The real Elsasser
+    eigenvalues are taken only where they may leave the range of the
+    others (``_may_leave``).  Calls numpy only."""
     lam = np.linalg.eigvals(gravity)
     lo = np.minimum(lam.real.min(axis=-1), hb)
     hi = np.maximum(lam.real.max(axis=-1), hb)
@@ -512,12 +504,10 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
     ``quad`` is the quadratic flux of the left states followed by the
     right ones, when the caller has it.
 
-    The spectrum's extremes come from ``_speed_extremes``: the gravity
-    eigenvalues, hb_m, and the real Elsasser eigenvalues only of states
-    whose Gershgorin bound does not already place them inside that range.
-    So max|Im| is the gravity block's, and s-, s+ and every ratio are
-    bitwise those of the full ``eigenvalues`` spectrum.  Spectra are
-    split into shares as in ``eigenvalues``.
+    The extremes come from the gravity eigenvalues and hb_m, and from the
+    real Elsasser eigenvalues only where their Gershgorin bound leaves
+    that range (``_speed_extremes``): s-, s+ and every ratio are bitwise
+    those of the full ``eigenvalues`` spectrum.
     """
     tol = params.tol_im if tol_im is None else tol_im
     stacked = np.concatenate([np.atleast_2d(U_left), np.atleast_2d(U_right)])
