@@ -547,10 +547,12 @@ class TestSpectrumSplit:
 def profile_range(mean, moments):
     """Exact min and max on [0, 1] of mean + sum_l moments[l-1] phi_l(z):
     with x = 1 - 2z it is a Legendre series on [-1, 1], whose extrema lie
-    at the end points or at real roots of its derivative."""
+    at the end points or at real roots of its derivative.  The real parts
+    of all roots are taken, so a double root split into a complex pair by
+    round-off is not missed; a point of [-1, 1] that is no extremum cannot
+    widen the range."""
     series = np.polynomial.Legendre(np.r_[mean, moments])
-    crit = series.deriv().roots() if len(moments) > 1 else np.array([])
-    crit = crit[np.isreal(crit)].real
+    crit = series.deriv().roots().real if len(moments) > 1 else np.array([])
     x = np.r_[-1.0, 1.0, crit[np.abs(crit) <= 1.0]]
     values = series(x)
     return values.min(), values.max()
