@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -309,7 +308,6 @@ def jacobian(U: np.ndarray, params: ModelParams,
     return J
 
 
-@lru_cache(maxsize=None)
 def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index sets (gravity, velocity, magnetic) of the diagonal blocks of J.
 
@@ -327,11 +325,8 @@ def spectral_blocks(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ratio, come from the gravity block alone.
     """
     moments = np.arange(5, n_vars(order)).reshape(order, 4)
-    blocks = (np.r_[H, HV, moments[:, [BETA, ETA]].ravel()],
-              np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
-    for index in blocks:
-        index.setflags(write=False)     # shared by every call (cached)
-    return blocks
+    return (np.r_[H, HV, moments[:, [BETA, ETA]].ravel()],
+            np.r_[HU, moments[:, ALPHA]], np.r_[HA, moments[:, GAMMA]])
 
 
 def _speed_coefficients(jac: np.ndarray, order: int) -> np.ndarray:
