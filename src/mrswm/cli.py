@@ -116,6 +116,9 @@ class RunConfig:
             raise ConfigError(f"tol_im: {self.tol_im} not positive")
         if self.resolution < 2:
             raise ConfigError(f"resolution: {self.resolution} below 2")
+        for key, low in (("n_cells", 4), ("n_zeta", 4), ("final_time", 0.0)):
+            if getattr(self, key) is not None and getattr(self, key) < low:
+                raise ConfigError(f"{key}: {getattr(self, key)} below {low}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: {self.format!r} not csv|json")
         if self.mode in RUN_MODES:
@@ -135,6 +138,20 @@ class RunConfig:
             if getattr(self, key) is not None:
                 _expr_field(getattr(self, key), key)
         return self
+
+    def read_settings(self) -> dict:
+        """The set settings that the command of ``mode`` reads, in field
+        order: the manifest's ``config``."""
+        spec = ("example", "case", "n_cells", "n_zeta", "nu", "theta", "g", "f",
+                "final_time", "y_min", "y_max", "boundary", "ic_h", "ic_u", "ic_v", "ic_hb")
+        reads = {"tensors": ("order", "format"),
+                 "run-moment": spec + ("order", "tol_im", "snapshot_times"),
+                 "run-reference": spec + ("snapshot_times",),
+                 "compare": spec + ("orders", "tol_im"),
+                 "hyperbolicity-scan": ("b_min", "b_max", "beta_min", "beta_max",
+                                        "eta_min", "eta_max", "resolution", "gh")}
+        keys = reads[self.mode] + ("mode", "out_dir")
+        return {k: v for k, v in vars(self).items() if k in keys and v is not None}
 
     @property
     def y_range(self) -> tuple[float, float]:
@@ -276,7 +293,8 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
     else:
         spec = experiments.make_spec(cfg.example, cfg.case or "constant")
     spec = replace(
-        spec, n_cells=cfg.n_cells or spec.n_cells, n_zeta=cfg.n_zeta or spec.n_zeta,
+        spec, n_cells=spec.n_cells if cfg.n_cells is None else cfg.n_cells,
+        n_zeta=spec.n_zeta if cfg.n_zeta is None else cfg.n_zeta,
         t_final=spec.t_final if cfg.final_time is None else cfg.final_time,
         f_const=spec.f_const if cfg.f is None else cfg.f,
         nu=cfg.nu, theta=spec.theta if spec.example == 1 else cfg.theta, g=cfg.g,
@@ -291,7 +309,8 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
               max_im_ratio: float, artifacts: list[Path],
               spec: experiments.ExperimentSpec | None = None,
               environment: dict | None = None, job_cost: dict | None = None) -> None:
-    """Write manifest.json; ``resolved`` holds the settings of the ``spec``
+    """Write manifest.json; ``config`` holds the settings the command read
+    (``RunConfig.read_settings``), and ``resolved`` the settings of the ``spec``
     that ran, after the example's defaults (Example 1 forces theta = 1);
     ``environment`` holds the Python and numpy versions and the command's
     own ``environment`` entries: for the solver runs, the BLAS library and
@@ -304,7 +323,7 @@ def _manifest(out_dir: Path, cfg: RunConfig, wall: float, steps: dict,
     payload = {
         "version": __version__,
         "mode": cfg.mode,
-        "config": {k: v for k, v in vars(cfg).items() if v is not None},
+        "config": cfg.read_settings(),
         "wall_time_s": wall,
         "n_steps": steps,
         "max_im_ratio": max_im_ratio,
@@ -404,8 +423,7 @@ def _cmd_run_reference(cfg: RunConfig) -> int:
 
 def _cmd_compare(cfg: RunConfig) -> int:
     spec = _spec_from_config(cfg)
-    # example 3's initial data is non-hyperbolic at M=2; skip it by default
-    orders = cfg.orders or ([0, 1, 3] if spec.example == 3 else [0, 1, 2, 3])
+    orders = cfg.orders or [0, 1, 2, 3]
     out = Path(cfg.out_dir)
     tic = time.perf_counter()
     result = experiments.run_comparison(spec, orders)

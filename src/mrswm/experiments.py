@@ -399,11 +399,10 @@ def lockstep(sol1: fv1d.Solution1D, params: model1d.ModelParams,
 
     def rates(state, t):
         cells, U, B = state
-        r1 = fv1d.rhs(fv1d.Solution1D(g1, cells, t), params, theta)
-        r2 = ref2d.rhs2d(ref2d.Solution2D(g2, U, B, t), rparams, theta)
-        return (r1.dudt, r2.dudt, r2.dbdt), fv1d.StepDiagnostics(
-            (r1.max_speed, r2.max_speed_y, r2.max_speed_z),
-            r1.max_im_ratio, r2.div_residual)
+        k1, d1 = fv1d.rhs(fv1d.Solution1D(g1, cells, t), params, theta)
+        k2, d2 = ref2d.rhs2d(ref2d.Solution2D(g2, U, B, t), rparams, theta)
+        return k1 + k2, fv1d.StepDiagnostics(d1.max_speed + d2.max_speed,
+                                             d1.max_im_ratio, d2.div_residual)
 
     (cells, U, B), t, _ = fv1d.integrate(
         (sol1.cells, sol2.U, sol2.B), sol1.time, t_final, rates,

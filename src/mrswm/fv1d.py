@@ -289,15 +289,49 @@ def path_integral_interface(U_left: np.ndarray, U_right: np.ndarray,
     return _contract_path(W, U_right - U_left, params)
 
 
+def cu_rates(F: np.ndarray, Q_cell: np.ndarray, Q_iface: np.ndarray,
+             s_minus: np.ndarray, s_plus: np.ndarray, dx: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Path-conservative central-upwind cell rates (Castro Diaz, Kurganov &
+    Morales de Luna 2019) along axis 0, with c+- = s+- / (s+ - s-) (0 where
+    s+ = s-):  -(F_{j+1/2} - F_{j-1/2} - Q_j - c+_{j-1/2} Q_{j-1/2}
+    + c-_{j+1/2} Q_{j+1/2}) / dx.  ``F``, ``Q_iface`` and the speeds hold
+    one interface more than ``Q_cell`` holds cells; components are last.
+    Writes into ``out`` (a new array if None); ``Q_cell`` is overwritten.
+    """
+    width = s_plus - s_minus
+    safe = np.where(width > 0.0, width, 1.0)
+    c_plus = np.where(width > 0.0, s_plus / safe, 0.0)[..., None]
+    c_minus = np.where(width > 0.0, s_minus / safe, 0.0)[..., None]
+    out = np.subtract(F[1:], F[:-1], out=out)
+    out -= Q_cell
+    tmp = np.multiply(c_plus[:-1], Q_iface[:-1], out=Q_cell)
+    out -= tmp
+    np.multiply(c_minus[1:], Q_iface[1:], out=tmp)
+    out += tmp
+    np.negative(out, out=out)
+    out /= dx
+    return out
+
+
 @dataclass
-class RhsResult:
-    dudt: np.ndarray
-    max_speed: float
-    max_im_ratio: float
+class StepDiagnostics:
+    """What a right-hand side reports; for a step, the max over its stages."""
+
+    max_speed: tuple[float, ...]     # one per direction of the state
+    max_im_ratio: float = 0.0        # moment solver
+    div_residual: float = 0.0        # reference solver
+
+    def merge(self, other: "StepDiagnostics") -> "StepDiagnostics":
+        return StepDiagnostics(tuple(map(max, self.max_speed, other.max_speed)),
+                               max(self.max_im_ratio, other.max_im_ratio),
+                               max(self.div_residual, other.div_residual))
 
 
-def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
-    """Semi-discrete time derivative of the cell averages."""
+def rhs(solution: Solution1D, params: ModelParams,
+        theta: float) -> tuple[tuple[np.ndarray], StepDiagnostics]:
+    """Semi-discrete time derivative of the cell averages, as the pair
+    (rates, diagnostics) that ``integrate`` takes from a right-hand side."""
     grid = solution.grid
     dy = grid.dy
     rec = reconstruct(solution, theta, params.h_min)
@@ -317,35 +351,12 @@ def rhs(solution: Solution1D, params: ModelParams, theta: float) -> RhsResult:
     Q_cell = path_integral_cell(rec.u_bar[1:-1], rec.slope[1:-1], dy, params)
     Q_iface = path_integral_interface(U_l, U_r, params)
 
-    width = s_plus - s_minus
-    safe = np.where(width > 0.0, width, 1.0)
-    c_left = np.where(width > 0.0, s_plus / safe, 0.0)[:, None]
-    c_right = np.where(width > 0.0, s_minus / safe, 0.0)[:, None]
-
     y = grid.centers()
     f = np.broadcast_to(np.asarray(params.coriolis(y), dtype=float), y.shape)
-    S = model1d.source_s(solution.cells, f)
-
-    dudt = -(F[1:] - F[:-1]
-             - Q_cell
-             - c_left[:-1] * Q_iface[:-1]
-             + c_right[1:] * Q_iface[1:]) / dy + S
+    dudt = cu_rates(F, Q_cell, Q_iface, s_minus, s_plus, dy)
+    dudt += model1d.source_s(solution.cells, f)
     max_speed = float(np.maximum(s_plus, -s_minus).max())
-    return RhsResult(dudt=dudt, max_speed=max_speed, max_im_ratio=im_ratio)
-
-
-@dataclass
-class StepDiagnostics:
-    """What a right-hand side reports; for a step, the max over its stages."""
-
-    max_speed: tuple[float, ...]     # one per direction of the state
-    max_im_ratio: float = 0.0        # moment solver
-    div_residual: float = 0.0        # reference solver
-
-    def merge(self, other: "StepDiagnostics") -> "StepDiagnostics":
-        return StepDiagnostics(tuple(map(max, self.max_speed, other.max_speed)),
-                               max(self.max_im_ratio, other.max_im_ratio),
-                               max(self.div_residual, other.div_residual))
+    return (dudt,), StepDiagnostics((max_speed,), im_ratio)
 
 
 @dataclass
@@ -487,13 +498,10 @@ def run(solution: Solution1D, params: ModelParams, t_final: float,
         ) -> tuple[Solution1D, RunStats]:
     """March the solution to t_final with adaptive CFL steps (``integrate``)."""
     grid = solution.grid
-
-    def rates(state, t):
-        r = rhs(Solution1D(grid, state[0], t), params, theta)
-        return (r.dudt,), StepDiagnostics((r.max_speed,), r.max_im_ratio)
-
     on_step = None if callback is None else (
         lambda state, t, diag: callback(Solution1D(grid, state[0], t), diag))
-    (cells,), t, stats = integrate((solution.cells,), solution.time, t_final, rates,
-                                   (grid.dy,), nu, (params.h_min,), on_step)
+    (cells,), t, stats = integrate(
+        (solution.cells,), solution.time, t_final,
+        lambda state, t: rhs(Solution1D(grid, state[0], t), params, theta),
+        (grid.dy,), nu, (params.h_min,), on_step)
     return Solution1D(grid, cells, t), stats

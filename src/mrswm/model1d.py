@@ -289,21 +289,18 @@ def noncons_q(U: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.einsum("rck,...k->...rc", params.q_tensor, U) / U[..., H][..., None, None]
 
 
-def jacobian(U: np.ndarray, params: ModelParams,
-             quad: np.ndarray | None = None) -> np.ndarray:
+def jacobian(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """J(U) = dG/dU - Q(U), batched along leading axes.
 
     Analytic from the flux tensor: with G = (U^T C U)/h + (g/2)h^2 e_hv and
-    C symmetric, dG/dU = (2 C U)/h - G_quad e_h^T / h + g h e_hv e_h^T.
-    ``quad`` is G_quad = ``quadratic_flux(U)`` when the caller has it.
+    C symmetric, dG/dU = (2 C U)/h - G_quad e_h^T / h + g h e_hv e_h^T,
+    where G_quad = ``quadratic_flux(U)``.
     """
     U = _checked(U, params)
     n = U.shape[-1]
     h = U[..., H]
-    if quad is None:
-        quad = quadratic_flux(U, params)
     J = (U @ params.jac_matrix).reshape(U.shape[:-1] + (n, n)) / h[..., None, None]
-    J[..., :, H] -= quad / h[..., None]
+    J[..., :, H] -= quadratic_flux(U, params) / h[..., None]
     J[..., HV, H] += params.g * h
     return J
 
@@ -347,7 +344,7 @@ def _speed_coefficients(jac: np.ndarray, order: int) -> np.ndarray:
 
 
 def _spectral_matrices(U: np.ndarray, params: ModelParams,
-                       quad: np.ndarray | None) -> tuple[np.ndarray, ...]:
+                       quad: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The hb_m entries (N,), gravity blocks (N, 2M+2, 2M+2) and D-scaled
     Elsasser blocks (N, M+1, M+1) of J for a batch of N states, from one
     product per state (``_by_state``): the blocks of a state do not depend
@@ -466,36 +463,34 @@ def _speed_extremes(hb: np.ndarray, gravity: np.ndarray, plus: np.ndarray,
     return np.stack([lo, hi, np.abs(lam.imag).max(axis=-1)], axis=-1)
 
 
-def eigenvalues(U: np.ndarray, params: ModelParams,
-                quad: np.ndarray | None = None) -> np.ndarray:
+def eigenvalues(U: np.ndarray, params: ModelParams) -> np.ndarray:
     """Complex spectrum of J(U), batched along leading axes.
 
     The union of the spectra of the diagonal blocks (``spectral_blocks``):
     the scalar hb_m entry, the gravity block (``eigvals``), and the
-    D-scaled Elsasser blocks (``eigvalsh``, real).  ``quad`` is
-    ``quadratic_flux(U)`` when the caller has it.
+    D-scaled Elsasser blocks (``eigvalsh``, real).
 
     A batch of at least ``MIN_SPLIT_ENTRIES`` Jacobian entries is cut into
     ``spectrum_shares`` contiguous shares whose spectra are taken at once
     (``_in_shares``); the result is bitwise the same as in one share.
     """
     U = np.asarray(U, dtype=float)
-    blocks = _spectral_matrices(U, params, quad)
+    blocks = _spectral_matrices(U, params)
     return _in_shares(_block_spectra, blocks, params.n_vars).reshape(U.shape)
 
 
 def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
-                     params: ModelParams, tol_im: float | None = None,
-                     quad: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+                     params: ModelParams, quad: np.ndarray | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
     """One-sided speed bounds s-, s+ for a batch of interfaces.
 
     s+ = max(Re spectrum(left), Re spectrum(right), 0) and s- the
     analogous minimum.  While a state's ratio max|Im| / max|Re| is at most
-    ``tol_im``, its bounds use the real parts alone: the imaginary parts
-    neither widen them (as Re +- |Im| would) nor fail the step.  The worst
-    ratio over the states is returned for logging; a ratio above
-    ``tol_im`` raises HyperbolicityError, located at (interface index,
-    "left" or "right").
+    ``params.tol_im``, its bounds use the real parts alone: the imaginary
+    parts neither widen them (as Re +- |Im| would) nor fail the step.  The
+    worst ratio over the states is returned for logging; a ratio above
+    ``params.tol_im`` raises HyperbolicityError, located at (interface
+    index, "left" or "right").
     ``quad`` is the quadratic flux of the left states followed by the
     right ones, when the caller has it.
 
@@ -504,7 +499,6 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
     that range (``_speed_extremes``): s-, s+ and every ratio are bitwise
     those of the full ``eigenvalues`` spectrum.
     """
-    tol = params.tol_im if tol_im is None else tol_im
     stacked = np.concatenate([np.atleast_2d(U_left), np.atleast_2d(U_right)])
     blocks = _spectral_matrices(stacked, params, quad)
     lo, hi, im = _in_shares(_speed_extremes, blocks, params.n_vars).T
@@ -512,11 +506,11 @@ def interface_speeds(U_left: np.ndarray, U_right: np.ndarray,
     ratios = im / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-14)
     half = stacked.shape[0] // 2
     worst = float(ratios.max()) if ratios.size else 0.0
-    if worst > tol:
+    if worst > params.tol_im:
         side, iface = divmod(int(np.argmax(ratios)), half)
         side = ("left", "right")[side]
         raise HyperbolicityError(
-            f"complex eigenvalue ratio {worst:.3e} exceeds {tol:.3e} "
+            f"complex eigenvalue ratio {worst:.3e} exceeds {params.tol_im:.3e} "
             f"in the {side} state of interface {iface}",
             ratio=worst, location=(iface, side))
     s_plus = np.maximum(np.maximum(hi[:half], hi[half:]), 0.0)

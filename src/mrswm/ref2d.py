@@ -58,8 +58,8 @@ import numpy as np
 
 from . import model1d
 from .fv1d import (RunStats, StepDiagnostics, _cell_weights, _interface_weights,
-                   clip_depth_slope, cu_flux_from_values, fill_ghosts, integrate,
-                   limited_slope, warn_clipped)
+                   clip_depth_slope, cu_flux_from_values, cu_rates, fill_ghosts,
+                   integrate, limited_slope, warn_clipped)
 from .model1d import DEFAULT_H_MIN, _zero_fn, check_valid, source_s
 
 #: Cells (rows x n_zeta) in one window of ``rhs2d``: about 100 rows at
@@ -233,15 +233,6 @@ def coupling_c(sigma_b: np.ndarray, dzeta: float) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass
-class Rhs2DResult:
-    dudt: np.ndarray
-    dbdt: np.ndarray
-    max_speed_y: float
-    max_speed_z: float
-    div_residual: float
-
-
-@dataclass
 class Reconstruction2D:
     """Limited reconstruction on a run of rows of the strip.
 
@@ -279,9 +270,11 @@ def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefPa
     return rec, clip_y
 
 
-def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
+def rhs2d(solution: Solution2D, params: RefParams,
+          theta: float) -> tuple[tuple[np.ndarray, np.ndarray], StepDiagnostics]:
     """Semi-discrete time derivative of (U, B), computed window by window,
-    in one process or two (see the module docstring)."""
+    in one process or two (see the module docstring), as the pair
+    (rates, diagnostics) that ``integrate`` takes from a right-hand side."""
     grid = solution.grid
     n_y, n_z = grid.n_y, grid.n_zeta
     # The windows check no depth: a face depth falls to the floor exactly
@@ -306,10 +299,10 @@ def rhs2d(solution: Solution2D, params: RefParams, theta: float) -> Rhs2DResult:
     warn_clipped(stats[:, 3].sum())
     max_speed_y, max_speed_z, div_residual = map(float, stats[:, :3].max(axis=0))
     b_scale = np.abs(solution.B).max()
-    return Rhs2DResult(dudt=dudt, dbdt=dbdt, max_speed_y=max_speed_y,
-                       max_speed_z=max_speed_z,
-                       div_residual=div_residual if b_scale == 0.0
-                       else div_residual / b_scale)
+    if b_scale != 0.0:
+        div_residual /= b_scale
+    return (dudt, dbdt), StepDiagnostics((max_speed_y, max_speed_z),
+                                         div_residual=div_residual)
 
 
 def _windows(grid: Grid2D) -> list[tuple[int, int]]:
@@ -413,25 +406,11 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     Qz_cell = _gp_rows(U_real[..., 1:] * (dz / h[real])[:, None, None], -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
 
-    width_y = sp_y - sm_y
-    safe_y = np.where(width_y > 0.0, width_y, 1.0)
-    cl = np.where(width_y > 0.0, sp_y / safe_y, 0.0)[..., None]
-    cr = np.where(width_y > 0.0, sm_y / safe_y, 0.0)[..., None]
-
     # the depth rate is the column value -hvm_y in every layer (coupling_omega);
-    # (hu, hv, ha, hb): -(dG - Qy_cell - cl Qy_if + cr Qy_if) / dy - (dH - Qz_cell) / dz + S
+    # (hu, hv, ha, hb): the y rates (cu_rates) - (dH - Qz_cell) / dz + S
     dudt[..., 0] = -hvm_y[1:-1, None]
-    du = dudt[..., 1:]
-    Gf = Gf[1:-1, :, 1:]
-    np.subtract(Gf[1:], Gf[:-1], out=du)
-    du -= Qy_cell
-    tmp = np.multiply(cl[:-1], Qy_if[:-1], out=Qy_cell)
-    du -= tmp
-    np.multiply(cr[1:], Qy_if[1:], out=tmp)
-    du += tmp
-    np.negative(du, out=du)
-    du /= dy
-    np.subtract(Hf[:, 1:], Hf[:, :-1], out=tmp)
+    du = cu_rates(Gf[1:-1, :, 1:], Qy_cell, Qy_if, sm_y, sp_y, dy, out=dudt[..., 1:])
+    tmp = np.subtract(Hf[:, 1:], Hf[:, :-1], out=Qy_cell)   # Qy_cell is spent
     tmp -= Qz_cell
     tmp /= dz
     du -= tmp
@@ -530,17 +509,12 @@ def run2d(solution: Solution2D, params: RefParams, t_final: float,
     """March the reference solution to t_final with adaptive CFL steps
     (``fv1d.integrate``); transport operators are rebuilt every stage."""
     grid = solution.grid
-
-    def rates(state, t):
-        r = rhs2d(Solution2D(grid, *state, t), params, theta)
-        return (r.dudt, r.dbdt), StepDiagnostics((r.max_speed_y, r.max_speed_z),
-                                                 div_residual=r.div_residual)
-
     on_step = None if callback is None else (
         lambda state, t, diag: callback(Solution2D(grid, *state, t), diag))
-    (U, B), t, stats = integrate((solution.U, solution.B), solution.time, t_final,
-                                 rates, (grid.dy, grid.dzeta), nu,
-                                 (params.h_min, None), on_step)
+    (U, B), t, stats = integrate(
+        (solution.U, solution.B), solution.time, t_final,
+        lambda state, t: rhs2d(Solution2D(grid, *state, t), params, theta),
+        (grid.dy, grid.dzeta), nu, (params.h_min, None), on_step)
     return Solution2D(grid, U, B, t), stats
 
 

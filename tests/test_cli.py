@@ -102,6 +102,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("token", [
         "orders=0,x", "snapshot_times=abc", 'nu="fast"', "nu=true",
         "n_cells=2.5", "orders=[0.5]",
+        # a size below the stencil's 4 cells, or a time before the start
+        "n_cells=0", "n_zeta=0", "n_cells=-5", "n_zeta=3", "final_time=-1",
     ])
     def test_malformed_value_rejected(self, token, tmp_path, capsys):
         key = token.partition("=")[0]
@@ -253,6 +255,25 @@ class TestRunCommands:
             assert 0.0 < entry["solve_s"] < manifest["wall_time_s"]
             assert entry["ms_per_step"] == pytest.approx(
                 1e3 * entry["solve_s"] / entry["steps"], rel=1e-12)
+
+    def test_manifest_config_records_only_the_keys_read(self, tmp_path):
+        # compare reads neither order, resolution nor the scan and tensor
+        # settings; tensors reads no solver setting
+        rc = cli.main(["compare", "example=2", "case=linear", "orders=0",
+                       "n_cells=16", "n_zeta=8", "final_time=0.01", "order=3",
+                       "resolution=7", "--out", str(tmp_path / "c")])
+        assert rc == 0
+        config = json.loads((tmp_path / "c" / "manifest.json").read_text())["config"]
+        assert config == {"mode": "compare", "example": 2, "case": "linear",
+                          "orders": [0], "n_cells": 16, "n_zeta": 8, "nu": 0.45,
+                          "theta": 1.3, "g": 1.0, "final_time": 0.01, "tol_im": 0.1,
+                          "out_dir": str(tmp_path / "c")}
+        rc = cli.main(["tensors", "--order", "1", "nu=0.3", "example=2",
+                       "--out", str(tmp_path / "t")])
+        assert rc == 0
+        config = json.loads((tmp_path / "t" / "manifest.json").read_text())["config"]
+        assert config == {"mode": "tensors", "order": 1, "format": "csv",
+                          "out_dir": str(tmp_path / "t")}
 
     def test_custom_initial_conditions(self, tmp_path):
         rc = cli.main(["run-moment", "ic_h=1.0+0.1*exp(-y**2)", "ic_v=0.25",

@@ -148,6 +148,50 @@ class TestCuFlux:
         assert F[~moving].tobytes() == np.zeros_like(F[~moving]).tobytes()   # +0.0
 
 
+def cu_rates_oracle(F, Q_cell, Q_iface, sm, sp, dx):
+    """The central-upwind cell rates written out cell by cell:
+    -(F_{j+1/2} - F_{j-1/2} - Q_j - c+_{j-1/2} Q_{j-1/2} + c-_{j+1/2} Q_{j+1/2}) / dx
+    with c+- = s+- / (s+ - s-), and 0 at an interface where s+ = s-."""
+    def c(s, k):
+        width = sp[k] - sm[k]
+        return s[k] / width if width > 0.0 else 0.0
+
+    out = np.empty_like(Q_cell)
+    for j in np.ndindex(Q_cell.shape[:-1]):
+        left, right = j, (j[0] + 1,) + j[1:]
+        out[j] = -(F[right] - F[left] - Q_cell[j] - c(sp, left) * Q_iface[left]
+                   + c(sm, right) * Q_iface[right]) / dx
+    return out
+
+
+class TestCuRates:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 4), st.integers(1, 5),
+           st.floats(1e-3, 10.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_formula(self, n, n_z, n_comp, dx, seed):
+        # n+1 interfaces and n cells, as in the moment solver (n_z = 0) or
+        # with n_z columns, as in a window of the reference solver; about a
+        # third of the interfaces have s+ = s- = 0.  A new array and a
+        # strided out= view, the component slice ref2d writes, give the
+        # oracle's bits.
+        rng = np.random.default_rng(seed)
+        cols = (n_z,) if n_z else ()
+        moving = rng.random((n + 1,) + cols) > 0.3
+        sm = np.where(moving, -3.0 * rng.random(moving.shape), 0.0)
+        sp = np.where(moving, 3.0 * rng.random(moving.shape), 0.0)
+        F, Q_iface = rng.normal(size=(2, n + 1) + cols + (n_comp,))
+        Q_cell = rng.normal(size=(n,) + cols + (n_comp,))
+        want = cu_rates_oracle(F, Q_cell, Q_iface, sm, sp, dx)
+
+        got = fv1d.cu_rates(F, Q_cell.copy(), Q_iface, sm, sp, dx)
+        assert got.tobytes() == want.tobytes()
+        state = np.moveaxis(np.full((n_comp + 1, n) + cols, 7.0), 0, -1)
+        view = state[..., 1:]
+        got = fv1d.cu_rates(F, Q_cell.copy(), Q_iface, sm, sp, dx, out=view)
+        assert got is view and view.tobytes() == want.tobytes()
+        assert np.all(state[..., 0] == 7.0)
+
+
 def quadrature_cell_oracle(u_bar, slope, dy, params, n_nodes=64):
     """Dense Gauss quadrature of Q(U~(y)) U~_y over one cell."""
     s, w = closure.gauss_rule(n_nodes)
@@ -309,8 +353,8 @@ class TestRhs:
         p = make_params(1)
         grid = Grid1D(-1.0, 1.0, 16)
         sol = uniform_solution(grid, [1.0, 0.2, -0.3, 0.1, 0.4, 0.05, 0.02, -0.01, 0.03])
-        r = fv1d.rhs(sol, p, theta=1.3)
-        np.testing.assert_allclose(r.dudt, 0.0, atol=1e-13)
+        (dudt,), _ = fv1d.rhs(sol, p, theta=1.3)
+        np.testing.assert_allclose(dudt, 0.0, atol=1e-13)
 
     def test_zero_magnetic_rows(self):
         p = make_params(1)
@@ -320,8 +364,8 @@ class TestRhs:
         cells[:, 0] = 1.0 + 0.2 * np.exp(-5 * y ** 2)
         cells[:, 2] = 0.25 * cells[:, 0]
         cells[:, 6] = -0.25 * cells[:, 0]
-        r = fv1d.rhs(Solution1D(grid, cells), p, theta=1.3)
-        np.testing.assert_allclose(r.dudt[:, [3, 4, 7, 8]], 0.0, atol=1e-13)
+        (dudt,), _ = fv1d.rhs(Solution1D(grid, cells), p, theta=1.3)
+        np.testing.assert_allclose(dudt[:, [3, 4, 7, 8]], 0.0, atol=1e-13)
 
     def test_riemann_step_matches_first_order_pccu(self):
         # independent first-order PCCU: closed-form speeds, hand-written
@@ -357,8 +401,30 @@ class TestRhs:
         cr = np.where(sp_ - sm > 0, sm / width, 0.0)[:, None]
         expected = -(F[1:] - F[:-1] - cl[:-1] * Qif[:-1] + cr[1:] * Qif[1:]) / grid.dy
 
-        r = fv1d.rhs(sol, p, theta=1.3)
-        np.testing.assert_allclose(r.dudt, expected, rtol=1e-9, atol=1e-10)
+        (dudt,), _ = fv1d.rhs(sol, p, theta=1.3)
+        np.testing.assert_allclose(dudt, expected, rtol=1e-9, atol=1e-10)
+
+    def test_returns_the_pair_run_passes_to_callbacks(self, monkeypatch):
+        # rhs returns (rates, diagnostics) as integrate takes them, and the
+        # callback receives the merge of each step's three stages
+        p = make_params(1)
+        sol = bump_state(32)
+        returned, passed = [], []
+        rhs = fv1d.rhs
+
+        def spy(*args):
+            returned.append(rhs(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(fv1d, "rhs", spy)
+        _, stats = fv1d.run(sol, p, t_final=0.05, callback=lambda s, d: passed.append(d))
+        assert stats.n_steps > 1 and len(returned) == 3 * stats.n_steps
+        for (rates, diag) in returned:
+            assert len(rates) == 1 and rates[0].shape == sol.cells.shape
+            assert isinstance(diag, fv1d.StepDiagnostics) and len(diag.max_speed) == 1
+        stages = [d for _, d in returned]
+        assert passed == [a.merge(b).merge(c) for a, b, c in
+                          zip(stages[::3], stages[1::3], stages[2::3])]
 
 
 def flux_m0(U, g):
@@ -571,7 +637,7 @@ class TestTimeStepping:
     def test_single_step_mass_conservation(self):
         p = make_params(1)
         sol = bump_state(64)
-        dt = 0.45 * sol.grid.dy / fv1d.rhs(sol, p, 1.3).max_speed
+        dt = 0.45 * sol.grid.dy / fv1d.rhs(sol, p, 1.3)[1].max_speed[0]
         new, stats = fv1d.run(sol, p, t_final=dt, theta=1.3)
         assert stats.n_steps == 1
         m0 = sol.cells[:, 0].sum() * sol.grid.dy

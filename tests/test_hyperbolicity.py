@@ -1,5 +1,7 @@
 """Quartic-root classifier and Jacobian-spectrum hyperbolicity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,12 @@ from mrswm.errors import HyperbolicityError
 
 def jacobian_verdict(U, params, tol_im=None):
     """(verdict, max |Im| / max |Re|) of a state under the solver's own
-    policy, ``model1d.interface_speeds`` with the state on both sides."""
+    policy, ``model1d.interface_speeds`` with the state on both sides,
+    at ``tol_im`` in place of the params' own when given."""
+    if tol_im is not None:
+        params = replace(params, tol_im=tol_im)
     try:
-        _, _, ratio = model1d.interface_speeds(U, U, params, tol_im)
+        _, _, ratio = model1d.interface_speeds(U, U, params)
     except HyperbolicityError as exc:
         return False, exc.ratio
     return True, ratio

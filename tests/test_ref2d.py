@@ -233,7 +233,7 @@ class TestEvolveB:
     def test_zero_b_stays_zero(self):
         grid = Grid2D(-1.0, 1.0, 8, 6)
         sol = uniform_solution(grid, [1.0, 0.1, 0.2, 0.05, 0.4])
-        dbdt = ref2d.rhs2d(sol, RefParams(g=1.0), theta=1.3).dbdt
+        (_, dbdt), _ = ref2d.rhs2d(sol, RefParams(g=1.0), theta=1.3)
         np.testing.assert_allclose(dbdt, 0.0, atol=1e-14)
 
     def test_uniform_advection_transports_blob(self):
@@ -246,7 +246,7 @@ class TestEvolveB:
         dt = 0.2 * grid.dy
         t = 0.0
         for _ in range(80):
-            sol.B = sol.B + dt * ref2d.rhs2d(sol, p, theta=1.3).dbdt
+            sol.B = sol.B + dt * ref2d.rhs2d(sol, p, theta=1.3)[0][1]
             t += dt
         peak = y[np.argmax(sol.B[:, 0])]
         assert peak == pytest.approx(v0 * t, abs=3 * grid.dy)
@@ -265,8 +265,8 @@ class TestEvolveB:
             B = ref2d.make_divergence_field(U, grid, 1.3)
             sol = Solution2D(grid, U, B)
             p = RefParams(g=1.0)
-            r = ref2d.rhs2d(sol, p, 1.3)
-            dt = 0.45 * min(grid.dy / r.max_speed_y, grid.dzeta / r.max_speed_z)
+            speed_y, speed_z = ref2d.rhs2d(sol, p, 1.3)[1].max_speed
+            dt = 0.45 * min(grid.dy / speed_y, grid.dzeta / speed_z)
             final, stats = ref2d.run2d(sol, p, t_final=dt, theta=1.3)
             assert stats.n_steps == 1
             slope = ref2d.make_divergence_field(final.U, grid, 1.3)
@@ -301,9 +301,31 @@ class TestRhs2D:
     def test_uniform_rest_state(self):
         grid = Grid2D(-1.0, 1.0, 8, 5)
         sol = uniform_solution(grid, [1.0, 0.0, 0.0, 0.0, 0.0])
-        r = ref2d.rhs2d(sol, RefParams(g=1.0), theta=1.3)
-        np.testing.assert_allclose(r.dudt, 0.0, atol=1e-14)
-        np.testing.assert_allclose(r.dbdt, 0.0, atol=1e-14)
+        (dudt, dbdt), _ = ref2d.rhs2d(sol, RefParams(g=1.0), theta=1.3)
+        np.testing.assert_allclose(dudt, 0.0, atol=1e-14)
+        np.testing.assert_allclose(dbdt, 0.0, atol=1e-14)
+
+    def test_returns_the_pair_run2d_passes_to_callbacks(self, monkeypatch):
+        # rhs2d returns ((dudt, dbdt), diagnostics) as integrate takes them,
+        # and the callback receives the merge of each step's three stages
+        sol, p = varied_solution()
+        returned, passed = [], []
+        rhs2d = ref2d.rhs2d
+
+        def spy(*args):
+            returned.append(rhs2d(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(ref2d, "rhs2d", spy)
+        _, stats = ref2d.run2d(sol, p, t_final=0.02, callback=lambda s, d: passed.append(d))
+        assert stats.n_steps > 1 and len(returned) == 3 * stats.n_steps
+        for (dudt, dbdt), diag in returned:
+            assert dudt.shape == sol.U.shape and dbdt.shape == sol.B.shape
+            assert isinstance(diag, fv1d.StepDiagnostics) and len(diag.max_speed) == 2
+            assert diag.max_im_ratio == 0.0 and diag.div_residual > 0.0
+        stages = [d for _, d in returned]
+        assert passed == [a.merge(b).merge(c) for a, b, c in
+                          zip(stages[::3], stages[1::3], stages[2::3])]
 
     def test_mass_conserved_periodic(self):
         grid = Grid2D(-1.0, 1.0, 32, 8)
@@ -431,10 +453,12 @@ def rhs_in_windows(monkeypatch, sol, p, theta, rows):
 
 
 def assert_same_rhs(a, b):
-    assert a.dudt.tobytes() == b.dudt.tobytes()
-    assert a.dbdt.tobytes() == b.dbdt.tobytes()
-    assert (a.max_speed_y, a.max_speed_z, a.div_residual) == \
-        (b.max_speed_y, b.max_speed_z, b.div_residual)
+    """Two ``rhs2d`` results, ((dudt, dbdt), diagnostics), are bitwise equal."""
+    (a_u, a_b), a_diag = a
+    (b_u, b_b), b_diag = b
+    assert a_u.tobytes() == b_u.tobytes()
+    assert a_b.tobytes() == b_b.tobytes()
+    assert a_diag == b_diag
 
 
 class TestWindows:
@@ -451,8 +475,8 @@ class TestWindows:
         tiled, many = rhs_in_windows(monkeypatch, sol, p, 1.3, rows)
         assert one == [n_y] and many == sizes
         assert_same_rhs(tiled, whole)
-        assert component_first(tiled.dudt)
-        assert np.abs(whole.dbdt).max() > 0.0 and whole.div_residual > 0.0
+        assert component_first(tiled[0][0])
+        assert np.abs(whole[0][1]).max() > 0.0 and whole[1].div_residual > 0.0
 
     def test_outflow_ghost_omega_copies_the_edge_row(self, monkeypatch):
         # beyond an outflow end the B update's y-slope of omega sees a copy
@@ -467,7 +491,7 @@ class TestWindows:
                 -2.224927171830732, -2.0809636588582436, -1.9471924508247944,
                 -1.8228810676617526, -2.4405771938559364]
         for rows in (sol.grid.n_y, 5):
-            dbdt = rhs_in_windows(monkeypatch, sol, p, 1.3, rows)[0].dbdt
+            (_, dbdt), _ = rhs_in_windows(monkeypatch, sol, p, 1.3, rows)[0]
             np.testing.assert_allclose(dbdt[0], first, rtol=1e-12)
             np.testing.assert_allclose(dbdt[-1], last, rtol=1e-12)
 
@@ -539,7 +563,7 @@ class TestStripWorker:
         assert (n_one, n_split) == (1, 2)
         assert _strip._worker is not None and _strip._worker.shape == (n_y, 8)
         assert_same_rhs(split, one)
-        assert component_first(split.dudt)
+        assert component_first(split[0][0])
         # the same numbers as one window over the whole strip
         assert_same_rhs(split, rhs_in_processes(monkeypatch, sol, p, 1.3, n_y, 2)[0])
 
@@ -662,11 +686,9 @@ class TestLayout:
         first = ref2d.rhs2d(with_layout(sol, "first"), p, 1.3)
         last = ref2d.rhs2d(with_layout(sol, "last"), p, 1.3)
         # tobytes() reads in index order, whatever the memory order
-        assert first.dudt.tobytes() == last.dudt.tobytes()
-        assert first.dbdt.tobytes() == last.dbdt.tobytes()
-        assert (first.max_speed_y, first.max_speed_z, first.div_residual) == \
-            (last.max_speed_y, last.max_speed_z, last.div_residual)
-        assert np.abs(first.dudt).max() > 0.0 and np.abs(first.dbdt).max() > 0.0
+        assert_same_rhs(first, last)
+        (dudt, dbdt), _ = first
+        assert np.abs(dudt).max() > 0.0 and np.abs(dbdt).max() > 0.0
 
     def test_rhs2d_zeta_fluxes_stored_components_first(self, monkeypatch):
         # the zeta fluxes Hf are written through cu_flux_from_values' out=;

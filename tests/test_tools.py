@@ -46,3 +46,16 @@ def test_two_pairs_reach_the_export(bench_pairs, tmp_path):
     with pytest.raises(RuntimeError, match="export reached"):
         bench_pairs.main(argv(tmp_path, 2))
     assert bench_pairs.exported == ["HEAD~1"]
+
+
+def test_summary_totals_attempted_and_failed_per_side(bench_pairs):
+    def run(solve_s, attempted, failed):
+        return {"solve_s": solve_s, "attempted": attempted, "failed": failed}
+
+    pairs = [{"parent": run(1.0, 5, 0), "change": run(0.9, 5, 1)},
+             {"parent": run(1.2, 4, 2), "change": run(1.1, 6, 0)},
+             {"parent": run(1.1, 5, 0), "change": run(1.3, 5, 3)}]
+    out = bench_pairs.summary(pairs, {"solve_s": "lower"})
+    assert out["runs"] == {"parent": {"attempted": 14, "failed": 2},
+                           "change": {"attempted": 16, "failed": 4}}
+    assert out["solve_s"]["change_better_in"] == "2 of 3"

@@ -9,7 +9,8 @@ under ``--work``, then runs ``python3 bench/run.py --workload W --seed S
 pairs, the change first in even ones.  Writes every run's metrics and
 CPU time (user + sys of the run and its children) and, per workload and
 metric, the quartiles of each side, the pairs the change won and the
-median gap in units of the parent's interquartile range.
+median gap in units of the parent's interquartile range, with each
+side's total of attempted and failed solves.
 """
 
 from __future__ import annotations
@@ -65,7 +66,12 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
-    out = {}
+    """Per metric, the quartiles and extremes of each side, the pairs the
+    change won and the median gap; under ``runs``, each side's total of
+    ``attempted`` and ``failed`` solves."""
+    out = {"runs": {side: {key: sum(p[side][key] for p in pairs)
+                           for key in ("attempted", "failed")}
+                    for side in ("parent", "change")}}
     for name, better in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
