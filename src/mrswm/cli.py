@@ -4,7 +4,7 @@ Subcommands: ``run-moment``, ``run-reference``, ``compare``,
 ``hyperbolicity-scan``, ``tensors``.  Settings come from an optional JSON
 config file (``--config``), positional ``key=value`` tokens, and repeated
 ``--override key=value`` flags, merged in that order.  Every run writes
-its artifacts plus a ``manifest.json`` recording the configuration, code
+its artifacts plus a ``manifest.json`` recording the settings it read, code
 version, wall time, step counts, the worst complex-eigenvalue ratio seen,
 the environment (Python and numpy versions; for solver runs, BLAS and
 the spectrum shares) and a SHA-256 per data file
