@@ -121,6 +121,11 @@ class RunConfig:
                 raise ConfigError(f"{key}: {getattr(self, key)} below {low}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: {self.format!r} not csv|json")
+        if self.boundary is not None and self.boundary not in ("periodic", "outflow"):
+            raise ConfigError(f"boundary: {self.boundary!r} not periodic|outflow")
+        for t in self.snapshot_times:
+            if t < 0.0:
+                raise ConfigError(f"snapshot_times: {t} below 0")
         if self.mode in RUN_MODES:
             if self.example is None and self.ic_h is None:
                 raise ConfigError("example: required (or give ic_* expressions)")
@@ -298,7 +303,8 @@ def _spec_from_config(cfg: RunConfig) -> experiments.ExperimentSpec:
         t_final=spec.t_final if cfg.final_time is None else cfg.final_time,
         f_const=spec.f_const if cfg.f is None else cfg.f,
         nu=cfg.nu, theta=spec.theta if spec.example == 1 else cfg.theta, g=cfg.g,
-        boundary=cfg.boundary or spec.boundary, tol_im=cfg.tol_im)
+        boundary=spec.boundary if cfg.boundary is None else cfg.boundary,
+        tol_im=cfg.tol_im)
     late = [t for t in cfg.snapshot_times if t > spec.t_final]
     if late:
         raise ConfigError(f"snapshot_times: {late} after the final time {spec.t_final}")

@@ -46,6 +46,18 @@ The speeds and the divergence residual are maxima over the windows; the
 clipped y depth slopes are counted once per stencil row and logged once.
 The worker is forked at the first split call, never at import, and
 its job carries every setting the windows read (``_strip``).
+
+Inside a window each component is one flat run of rows * n_zeta values,
+the columns laid end to end (``_flat``, a free reshape in the
+component-first layout), and every zeta stencil is a shift by one along
+that run, so numpy walks whole runs instead of rows of n_zeta - 1.  The
+shift pairs the top cell of each column with the bottom cell of the
+next; at such a seam the zeta slopes are set to +0.0 in both cells, as
+a copied ghost cell gave them, and C is set to 0 beside the omega = 0 of
+the top face, so the speeds and the fluxes there are +0.0 and no seam
+enters a rate, the zeta speed or dt.  Work on the depth alone is done
+once per column: the floor clip of its y slope and the depths of the
+path-integral weights.
 """
 
 from __future__ import annotations
@@ -252,22 +264,42 @@ class Reconstruction2D:
 def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefParams,
                  theta: float) -> tuple[Reconstruction2D, np.ndarray]:
     """Face values on the rows of ``ext`` inside its first and last row,
-    where ``b_bar`` holds B; also the mask of the clipped y depth slopes."""
+    where ``b_bar`` holds B; also the mask of the clipped y depth slopes,
+    one entry per column (rows, 1)."""
     dy, dz = grid.dy, grid.dzeta
     mid = ext[1:-1]
     sy = limited_slope(ext, dy, theta)
     sy[..., 4] = sigma_factor(sy[..., 4], b_bar) * b_bar
-    clip_y = clip_depth_slope(mid, sy, dy, params.h_min)
+    # the depth is one value per column: its floor clip is decided there
+    clip_y = clip_depth_slope(mid[:, :1], sy[:, :1], dy, params.h_min)
+    if clip_y.any():
+        sy[..., 0] = sy[:, :1, 0]
 
     half = 0.5 * dy * sy
     north, south = mid + half, mid - half
-    chi = mid[..., 1:]                                     # (hu, hv, ha, hb)
-    ext_z = np.concatenate([chi[:, :1], chi, chi[:, -1:]], axis=1)
-    np.multiply(0.5 * dz, limited_slope(ext_z, dz, theta, axis=1), out=half[..., 1:])
+    # zeta slopes of (hu, hv, ha, hb) on the flat column runs (``_flat``);
+    # the bottom and top cells of a column get +0.0, as a ghost copy of
+    # the cell gives them, and the depth has none
+    np.multiply(0.5 * dz, limited_slope(_flat(mid[..., 1:]), dz, theta),
+                out=_flat(half)[1:-1, 1:])
+    half[:, [0, -1]] = 0.0
     half[..., 0] = 0.0
     rec = Reconstruction2D(u_bar=mid, slope_y=sy, north=north, south=south,
                            up=mid + half, down=mid - half)
     return rec, clip_y
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The (rows, n_zeta) leading axes of ``a`` as one run of rows * n_zeta
+    cells, the columns end to end: a view, never a copy.
+
+    A zeta stencil over the run is a shift by one along it, so numpy walks
+    whole runs where the (rows, n_zeta - 1) views of the columns would
+    walk rows of n_zeta - 1.  Where the shift pairs the top cell of a
+    column with the bottom cell of the next, a seam, the caller discards
+    or zeroes the value.
+    """
+    return a.reshape((-1,) + a.shape[2:], copy=False)
 
 
 def rhs2d(solution: Solution2D, params: RefParams,
@@ -357,11 +389,18 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     mid, sy = rec.u_bar, rec.slope_y                      # rows a-2 .. b+1
     h = mid[:, 0, 0]                                      # the column depths
     real = slice(2, -2)
+    U_real = mid[real]
+    # the y faces at the interfaces a-3/2 .. b+1/2 (the window's own are
+    # [1:-1]), and the zeta faces of the window's rows on their flat run
+    # (``_flat``), where face i lies between cells i and i+1
+    L, R = rec.north[:-1], rec.south[1:]                  # (n+3, n_z, 5)
+    up, dn = _flat(rec.up[real])[:-1], _flat(rec.down[real])[1:]
+    # Large temporaries are dropped once spent.  Held to the return, they
+    # left the reference benchmark's peak RSS 5-6 MB higher: its stage
+    # arrays (3.2 MB each at 800 x 100) no longer fitted the holes.
+    del rec
 
     # --- horizontal central-upwind fluxes ---------------------------------
-    # at the interfaces a-3/2 .. b+1/2; the window's own are [1:-1]
-    L, R = rec.north[:-1], rec.south[1:]                  # (n+3, n_z, 5)
-
     def wave(U):
         h = U[..., 0]
         v = U[..., 2] / h
@@ -372,7 +411,14 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     lo_r, hi_r = wave(R)
     sp_y = np.maximum(np.maximum(hi_l, hi_r), 0.0)
     sm_y = np.minimum(np.minimum(lo_l, lo_r), 0.0)
+    del lo_l, hi_l, lo_r, hi_r
     Gf = cu_flux_from_values(flux_y(L, g), flux_y(R, g), L, R, sm_y, sp_y)
+    L, R, sp_y, sm_y = L[1:-1], R[1:-1], sp_y[1:-1], sm_y[1:-1]
+    # the Godunov-Powell interface products of (hu, hv, ha, hb), from the
+    # face depths of each column
+    Qy_if = _gp_rows(_interface_weights(L[:, :1, 0], R[:, :1, 0], L[..., 1:], R[..., 1:]),
+                     R[..., 4] - L[..., 4])
+    del L, R
 
     # --- vertical transport operators -------------------------------------
     # omega on rows a-1 .. b, for the B update's y-slope of omega
@@ -380,28 +426,29 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     hc_face_all, hc_cen_all = coupling_c(sy[1:-1, :, 4], dz)  # rows a-1 .. b
     hc_face = hc_face_all[1:-1]
     sigma_b = sy[real, :, 4]                                   # sigma * B
-    L, R, sp_y, sm_y = L[1:-1], R[1:-1], sp_y[1:-1], sm_y[1:-1]
 
     # --- vertical central-upwind fluxes -----------------------------------
-    om_int = omega[1:-1, 1:-1]                             # (n, n_z-1)
-    c = hc_face[:, 1:-1] / h[real, None]
-    up = rec.up[real, :-1]
-    dn = rec.down[real, 1:]
-    sp_z = np.maximum(om_int + np.abs(c), 0.0)
-    sm_z = np.minimum(om_int - np.abs(c), 0.0)
-    Hf = np.moveaxis(np.empty((4, n, n_z + 1)), 0, -1)   # the state's layout
-    Hf[:, [0, -1]] = 0.0
-    cu_flux_from_values(flux_zeta(up, om_int, c), flux_zeta(dn, om_int, c),
-                        up[..., 1:], dn[..., 1:], sm_z, sp_z, out=Hf[:, 1:-1])
+    # at a seam, between the top cell of a column and the bottom cell of
+    # the next, omega is 0 (the top face's) and C is set to 0, so both
+    # speeds and the flux there are +0.0, as at the bottom and top faces
+    om = omega[1:-1, 1:].ravel()[:-1]                      # (n n_z - 1,)
+    c = hc_face[:, 1:] / h[real, None]
+    c[:, -1] = 0.0
+    c = _flat(c)[:-1]
+    sp_z = np.maximum(om + np.abs(c), 0.0)
+    sm_z = np.minimum(om - np.abs(c), 0.0)
+    Hf = np.moveaxis(np.empty((4, n * n_z + 1)), 0, -1)  # the state's layout
+    Hf[[0, -1]] = 0.0
+    cu_flux_from_values(flux_zeta(up, om, c), flux_zeta(dn, om, c),
+                        up[..., 1:], dn[..., 1:], sm_z, sp_z, out=Hf[1:-1])
+    del up, dn
 
     # --- nonconservative products ------------------------------------------
-    # weights of (hu, hv, ha, hb), a contiguous block of the component axis
-    U_real = mid[real]
+    # weights of (hu, hv, ha, hb), a contiguous block of the component axis,
+    # from the depths of each column
     sy_real = sy[real]
-    Qy_cell = _gp_rows(_cell_weights(U_real[..., 0], sy_real[..., 0],
+    Qy_cell = _gp_rows(_cell_weights(U_real[:, :1, 0], sy_real[:, :1, 0],
                                      U_real[..., 1:], sy_real[..., 1:], dy), sigma_b)
-    Qy_if = _gp_rows(_interface_weights(L[..., 0], R[..., 0], L[..., 1:], R[..., 1:]),
-                     R[..., 4] - L[..., 4])
     # with no depth slope in zeta the cell's path weight is chi dzeta / h
     Qz_cell = _gp_rows(U_real[..., 1:] * (dz / h[real])[:, None, None], -sigma_b)
     # interface path terms in zeta vanish: hC is single-valued at faces
@@ -410,16 +457,19 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     # (hu, hv, ha, hb): the y rates (cu_rates) - (dH - Qz_cell) / dz + S
     dudt[..., 0] = -hvm_y[1:-1, None]
     du = cu_rates(Gf[1:-1, :, 1:], Qy_cell, Qy_if, sm_y, sp_y, dy, out=dudt[..., 1:])
-    tmp = np.subtract(Hf[:, 1:], Hf[:, :-1], out=Qy_cell)   # Qy_cell is spent
+    tmp = Qy_cell                                          # Qy_cell is spent
+    np.subtract(Hf[1:], Hf[:-1], out=_flat(tmp))
     tmp -= Qz_cell
     tmp /= dz
     du -= tmp
     du += source_s(U_real, f)[..., 1:]
+    del Gf, Hf, Qy_cell, Qy_if, Qz_cell, tmp
 
     # --- divergence-field evolution (first-order fluxes) --------------------
     v_mid = mid[1:-1, :, 2] / mid[1:-1, :, 0]              # rows a-1 .. b
-    ext_vz = np.concatenate([v_mid[:, :1], v_mid, v_mid[:, -1:]], axis=1)
-    v_zeta = limited_slope(ext_vz, dz, theta, axis=1)
+    v_zeta = np.empty_like(v_mid)                         # as the slopes of (hu, .., hb)
+    _flat(v_zeta)[1:-1] = limited_slope(_flat(v_mid), dz, theta)
+    v_zeta[:, [0, -1]] = 0.0
     phi_y = (v_mid * B_mid[1:-1] - hc_cen_all * v_zeta)[..., None]
     B_1 = B_mid[1:-1, :, None]
 
@@ -433,21 +483,21 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
         om_cen[0] = om_cen[1]
     if outflow and edges[1]:
         om_cen[-1] = om_cen[-2]
-    om_y = limited_slope(om_cen, dy, theta)                # rows a .. b-1
-    B_real = B_mid[real]
-    hb_real = U_real[..., 4]
-    up_val = om_int * B_real[:, :-1] + hb_real[:, :-1] * om_y[:, :-1]
-    dn_val = om_int * B_real[:, 1:] + hb_real[:, 1:] * om_y[:, 1:]
-    FzB = np.zeros((n, n_z + 1))
-    B_1 = B_real[..., None]
-    cu_flux_from_values(up_val[..., None], dn_val[..., None], B_1[:, :-1], B_1[:, 1:],
-                        sm_z, sp_z, out=FzB[:, 1:-1, None])
+    om_y = _flat(limited_slope(om_cen, dy, theta))         # rows a .. b-1
+    B_run = _flat(B_mid[real])
+    hb_run = _flat(U_real[..., 4])
+    up_val = om * B_run[:-1] + hb_run[:-1] * om_y[:-1]
+    dn_val = om * B_run[1:] + hb_run[1:] * om_y[1:]
+    FzB = np.zeros(n * n_z + 1)
+    cu_flux_from_values(up_val[:, None], dn_val[:, None], B_run[:-1, None],
+                        B_run[1:, None], sm_z, sp_z, out=FzB[1:-1, None])
 
-    np.subtract(-(FyB[1:] - FyB[:-1]) / dy, (FzB[:, 1:] - FzB[:, :-1]) / dz, out=dbdt)
+    np.subtract(-(FyB[1:] - FyB[:-1]) / dy,
+                ((FzB[1:] - FzB[:-1]) / dz).reshape(n, n_z), out=dbdt)
 
     slope_hc = (hc_face[:, 1:] - hc_face[:, :-1]) / dz
     return (np.maximum(sp_y, -sm_y).max(), np.maximum(sp_z, -sm_z).max(),
-            np.abs(sigma_b + slope_hc).max(), clip_y[own].sum())
+            np.abs(sigma_b + slope_hc).max(), n_z * clip_y[own].sum())
 
 
 def _gp_rows(W: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -104,6 +104,9 @@ class TestParseConfig:
         "n_cells=2.5", "orders=[0.5]",
         # a size below the stencil's 4 cells, or a time before the start
         "n_cells=0", "n_zeta=0", "n_cells=-5", "n_zeta=3", "final_time=-1",
+        "snapshot_times=-1",
+        # a boundary mode the solvers do not have, or none at all
+        "boundary=bogus", "boundary=",
     ])
     def test_malformed_value_rejected(self, token, tmp_path, capsys):
         key = token.partition("=")[0]

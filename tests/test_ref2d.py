@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrswm import _strip, experiments, fv1d, model1d, ref2d
 from mrswm.errors import DryStateError
@@ -656,6 +658,216 @@ class TestStripWorker:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)       # reaped
         assert_same_rhs(rhs_in_processes(monkeypatch, sol, p, 1.3, 5, 2)[0], expected)
+
+
+def column_reconstruct(ext, b_bar, grid, params, theta):
+    """``ref2d._reconstruct`` as it was before the flat column runs: the
+    zeta slopes on each column padded with a copied ghost cell per end
+    (``np.concatenate``), and the y depth slope clipped cell by cell.
+    The oracle of ``TestFlatColumnRuns``."""
+    dy, dz = grid.dy, grid.dzeta
+    mid = ext[1:-1]
+    sy = fv1d.limited_slope(ext, dy, theta)
+    sy[..., 4] = ref2d.sigma_factor(sy[..., 4], b_bar) * b_bar
+    clip_y = fv1d.clip_depth_slope(mid, sy, dy, params.h_min)
+    half = 0.5 * dy * sy
+    north, south = mid + half, mid - half
+    chi = mid[..., 1:]
+    ext_z = np.concatenate([chi[:, :1], chi, chi[:, -1:]], axis=1)
+    np.multiply(0.5 * dz, fv1d.limited_slope(ext_z, dz, theta, axis=1), out=half[..., 1:])
+    half[..., 0] = 0.0
+    rec = ref2d.Reconstruction2D(u_bar=mid, slope_y=sy, north=north, south=south,
+                                 up=mid + half, down=mid - half)
+    return rec, clip_y
+
+
+def column_rhs_rows(ext, B_ext, f, edges, outflow, grid, params, theta, dudt, dbdt):
+    """``ref2d._rhs_rows`` as it was before the flat column runs: every
+    zeta stencil on (rows, n_zeta - 1) slices of the columns, with the
+    faces at zeta = 0 and 1 set to zero apart, and the depth work done in
+    every cell.  The oracle of ``TestFlatColumnRuns``."""
+    dy, dz = grid.dy, grid.dzeta
+    n, n_z = dudt.shape[:2]
+    g = params.g
+    B_mid = B_ext[1:-1]
+    rec, clip_y = column_reconstruct(ext, B_mid, grid, params, theta)
+    own = slice(1 if edges[0] else 2, -1 if edges[1] else -2)
+    mid, sy = rec.u_bar, rec.slope_y
+    h = mid[:, 0, 0]
+    real = slice(2, -2)
+
+    L, R = rec.north[:-1], rec.south[1:]
+
+    def wave(U):
+        h = U[..., 0]
+        v = U[..., 2] / h
+        root = np.sqrt(U[..., 4] ** 2 / h ** 2 + g * h)
+        return v - root, v + root
+
+    lo_l, hi_l = wave(L)
+    lo_r, hi_r = wave(R)
+    sp_y = np.maximum(np.maximum(hi_l, hi_r), 0.0)
+    sm_y = np.minimum(np.minimum(lo_l, lo_r), 0.0)
+    Gf = fv1d.cu_flux_from_values(ref2d.flux_y(L, g), ref2d.flux_y(R, g), L, R,
+                                  sm_y, sp_y)
+
+    omega, hvm_y = ref2d.coupling_omega(h[1:-1], Gf[..., 0], dy, dz)
+    hc_face_all, hc_cen_all = ref2d.coupling_c(sy[1:-1, :, 4], dz)
+    hc_face = hc_face_all[1:-1]
+    sigma_b = sy[real, :, 4]
+    L, R, sp_y, sm_y = L[1:-1], R[1:-1], sp_y[1:-1], sm_y[1:-1]
+
+    om_int = omega[1:-1, 1:-1]
+    c = hc_face[:, 1:-1] / h[real, None]
+    up = rec.up[real, :-1]
+    dn = rec.down[real, 1:]
+    sp_z = np.maximum(om_int + np.abs(c), 0.0)
+    sm_z = np.minimum(om_int - np.abs(c), 0.0)
+    Hf = np.moveaxis(np.empty((4, n, n_z + 1)), 0, -1)
+    Hf[:, [0, -1]] = 0.0
+    fv1d.cu_flux_from_values(ref2d.flux_zeta(up, om_int, c), ref2d.flux_zeta(dn, om_int, c),
+                             up[..., 1:], dn[..., 1:], sm_z, sp_z, out=Hf[:, 1:-1])
+
+    U_real = mid[real]
+    sy_real = sy[real]
+    Qy_cell = ref2d._gp_rows(fv1d._cell_weights(U_real[..., 0], sy_real[..., 0],
+                                                U_real[..., 1:], sy_real[..., 1:], dy),
+                             sigma_b)
+    Qy_if = ref2d._gp_rows(fv1d._interface_weights(L[..., 0], R[..., 0],
+                                                   L[..., 1:], R[..., 1:]),
+                           R[..., 4] - L[..., 4])
+    Qz_cell = ref2d._gp_rows(U_real[..., 1:] * (dz / h[real])[:, None, None], -sigma_b)
+
+    dudt[..., 0] = -hvm_y[1:-1, None]
+    du = fv1d.cu_rates(Gf[1:-1, :, 1:], Qy_cell, Qy_if, sm_y, sp_y, dy,
+                       out=dudt[..., 1:])
+    tmp = np.subtract(Hf[:, 1:], Hf[:, :-1], out=Qy_cell)
+    tmp -= Qz_cell
+    tmp /= dz
+    du -= tmp
+    du += model1d.source_s(U_real, f)[..., 1:]
+
+    v_mid = mid[1:-1, :, 2] / mid[1:-1, :, 0]
+    ext_vz = np.concatenate([v_mid[:, :1], v_mid, v_mid[:, -1:]], axis=1)
+    v_zeta = fv1d.limited_slope(ext_vz, dz, theta, axis=1)
+    phi_y = (v_mid * B_mid[1:-1] - hc_cen_all * v_zeta)[..., None]
+    B_1 = B_mid[1:-1, :, None]
+    FyB = fv1d.cu_flux_from_values(phi_y[:-1], phi_y[1:], B_1[:-1], B_1[1:],
+                                   sm_y, sp_y)[..., 0]
+
+    om_cen = 0.5 * (omega[:, :-1] + omega[:, 1:])
+    if outflow and edges[0]:
+        om_cen[0] = om_cen[1]
+    if outflow and edges[1]:
+        om_cen[-1] = om_cen[-2]
+    om_y = fv1d.limited_slope(om_cen, dy, theta)
+    B_real = B_mid[real]
+    hb_real = U_real[..., 4]
+    up_val = om_int * B_real[:, :-1] + hb_real[:, :-1] * om_y[:, :-1]
+    dn_val = om_int * B_real[:, 1:] + hb_real[:, 1:] * om_y[:, 1:]
+    FzB = np.zeros((n, n_z + 1))
+    B_1 = B_real[..., None]
+    fv1d.cu_flux_from_values(up_val[..., None], dn_val[..., None], B_1[:, :-1],
+                             B_1[:, 1:], sm_z, sp_z, out=FzB[:, 1:-1, None])
+    np.subtract(-(FyB[1:] - FyB[:-1]) / dy, (FzB[:, 1:] - FzB[:, :-1]) / dz, out=dbdt)
+
+    slope_hc = (hc_face[:, 1:] - hc_face[:, :-1]) / dz
+    return (np.maximum(sp_y, -sm_y).max(), np.maximum(sp_z, -sm_z).max(),
+            np.abs(sigma_b + slope_hc).max(), clip_y[own].sum())
+
+
+def windows_with(monkeypatch, body, sol, p, theta, rows):
+    """``ref2d._rhs_windows`` over windows of ``rows`` rows with ``body``
+    as the window body: (dudt, dbdt, the windows' stats)."""
+    grid = sol.grid
+    n_y, n_z = grid.n_y, grid.n_zeta
+    f = np.broadcast_to(np.asarray(p.coriolis(grid.y_centers()), dtype=float),
+                        (n_y,))[:, None]
+    dudt = np.moveaxis(np.empty((5, n_y, n_z)), 0, -1)
+    dbdt = np.empty((n_y, n_z))
+    windows = [(a, min(a + rows, n_y)) for a in range(0, n_y, rows)]
+    with monkeypatch.context() as m:
+        m.setattr(ref2d, "_rhs_rows", body)
+        stats = ref2d._rhs_windows(
+            windows, fv1d.fill_ghosts(sol.U, grid.boundary_y, ref2d.HALO),
+            fv1d.fill_ghosts(sol.B, grid.boundary_y, ref2d.HALO), f, grid, p, theta,
+            dudt, dbdt)
+    return dudt, dbdt, stats
+
+
+@st.composite
+def seam_states(draw):
+    """A strip, its state and the window rows: one depth per column, and
+    in each of (hu, hv, ha, hb) a jump of up to 200 between the top cell
+    of a column and the bottom cell of the next, where the flat run of
+    the columns puts them side by side."""
+    n_y = draw(st.integers(4, 10))
+    n_z = draw(st.integers(4, 7))
+    grid = Grid2D(-1.0, 1.0, n_y, n_z,
+                  boundary_y=draw(st.sampled_from(["periodic", "outflow"])))
+    values = st.floats(-1.0, 1.0)
+    h = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n_y, max_size=n_y)))
+    U = np.empty((n_y, n_z, 5))
+    U[..., 0] = h[:, None]
+    for k in range(1, 5):
+        U[..., k] = np.reshape(draw(st.lists(values, min_size=n_y * n_z,
+                                             max_size=n_y * n_z)), (n_y, n_z))
+        U[:, -1, k] += draw(st.floats(-100.0, 100.0))
+        U[:, 0, k] -= draw(st.floats(-100.0, 100.0))
+    U[..., 1:] *= h[:, None, None]
+    # B divides the minmod slope of hb in sigma: no value near 0 but 0
+    b_values = st.floats(-2.0, -0.01) | st.just(0.0) | st.floats(0.01, 2.0)
+    B = np.reshape(draw(st.lists(b_values, min_size=n_y * n_z, max_size=n_y * n_z)),
+                   (n_y, n_z))
+    p = RefParams(g=draw(st.floats(0.5, 2.0)), coriolis=lambda y: 1.0 + y,
+                  h_min=draw(st.sampled_from([1e-6, 0.45])))
+    theta = draw(st.floats(1.0, 2.0))
+    rows = draw(st.integers(1, n_y))
+    return Solution2D(grid, U, B), p, theta, rows
+
+
+class TestFlatColumnRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(case=seam_states())
+    def test_rates_and_stats_match_the_column_oracle_bitwise(self, case):
+        # rates, speeds, divergence residual and clip counts, window by
+        # window; a seam value that leaked into a rate would differ here
+        sol, p, theta, rows = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            flat = windows_with(monkeypatch, ref2d._rhs_rows, sol, p, theta, rows)
+            column = windows_with(monkeypatch, column_rhs_rows, sol, p, theta, rows)
+        assert flat[0].tobytes() == column[0].tobytes()
+        assert flat[1].tobytes() == column[1].tobytes()
+        assert [tuple(map(float, s)) for s in flat[2]] == \
+               [tuple(map(float, s)) for s in column[2]]
+
+    def test_example_states_match_the_column_oracle_bitwise(self, monkeypatch):
+        for sol, p in (example3_like_solution(), varied_solution(21, "periodic")):
+            for rows in (sol.grid.n_y, 5):
+                flat = windows_with(monkeypatch, ref2d._rhs_rows, sol, p, 1.3, rows)
+                column = windows_with(monkeypatch, column_rhs_rows, sol, p, 1.3, rows)
+                assert flat[0].tobytes() == column[0].tobytes()
+                assert flat[1].tobytes() == column[1].tobytes()
+                assert flat[2] == column[2]
+
+    def test_seams_stay_out_of_the_zeta_speed(self):
+        # at rest in y with hb sloped in y and uniform in zeta, omega is 0
+        # and |C| grows up each column to its largest value at the top
+        # face, where the flat run meets the next column's bottom cell
+        grid = Grid2D(-1.0, 1.0, 12, 6)
+        y = grid.y_centers()[:, None]
+        U = np.zeros((grid.n_y, grid.n_zeta, 5))
+        U[..., 0] = 1.0
+        U[..., 4] = 1.0 + 0.5 * np.sin(np.pi * y)
+        sol = Solution2D(grid, U, ref2d.make_divergence_field(U, grid, 1.3))
+        p = RefParams(g=1.0)
+        rec, _ = reconstruct(sol, p, 1.3)
+        faces, _ = ref2d.coupling_c(rec.slope_y[1:-1, :, 4], grid.dzeta)
+        c = faces / U[:, :1, 0]
+        interior = float(np.abs(c[:, 1:-1]).max())
+        assert np.abs(c[:, -1]).max() > 1.1 * interior > 0.0
+        _, diag = ref2d.rhs2d(sol, p, 1.3)
+        assert diag.max_speed[1] == interior
 
 
 class TestLayout:

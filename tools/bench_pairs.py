@@ -10,7 +10,13 @@ pairs, the change first in even ones.  Writes every run's metrics and
 CPU time (user + sys of the run and its children) and, per workload and
 metric, the quartiles of each side, the pairs the change won and the
 median gap in units of the parent's interquartile range, with each
-side's total of attempted and failed solves.
+side's total of attempted and failed solves.  Each metric also gets the
+two verdicts a benchmark comparison applies: ``claim_rule_met`` (the
+change won at least nine tenths of the pairs, and its median is better
+than the parent's by more than the parent's interquartile range) and,
+for an end-to-end metric of ``BENCHMARK.json``, ``worse_than_bound``
+(the change's median is worse than the parent's by more than the
+metric's relative ``bound``).
 """
 
 from __future__ import annotations
@@ -65,10 +71,13 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q, 6) for q in (q1, q2, q3)]
 
 
-def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
+def summary(pairs: list[dict], metrics: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
     """Per metric, the quartiles and extremes of each side, the pairs the
-    change won and the median gap; under ``runs``, each side's total of
-    ``attempted`` and ``failed`` solves."""
+    change won, the median gap and the verdicts (module docstring), with
+    ``worse_than_bound`` for the metrics in ``bounds``; under ``runs``,
+    each side's total of ``attempted`` and ``failed`` solves."""
+    bounds = bounds or {}
     out = {"runs": {side: {key: sum(p[side][key] for p in pairs)
                            for key in ("attempted", "failed")}
                     for side in ("parent", "change")}}
@@ -79,6 +88,7 @@ def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
                    for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         iqr = pq[2] - pq[0]
+        gain = pq[1] - cq[1] if better == "lower" else cq[1] - pq[1]
         out[name] = {
             "better": better,
             "parent_q1_median_q3": pq,
@@ -89,7 +99,10 @@ def summary(pairs: list[dict], metrics: dict[str, str]) -> dict:
             "median_change_pct": round(100.0 * (cq[1] / pq[1] - 1.0), 1),
             "median_gap_over_parent_iqr":
                 round(abs(cq[1] - pq[1]) / iqr, 2) if iqr > 0 else None,
+            "claim_rule_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
         }
+        if name in bounds:
+            out[name]["worse_than_bound"] = -gain > bounds[name] * pq[1]
     return out
 
 
@@ -114,6 +127,7 @@ def main(argv=None) -> int:
             for side, rev in (("parent", args.parent), ("change", args.change))}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     metrics.update(run_cpu_s="lower")
     report = {"parent": shas["parent"], "change": shas["change"],
               "command": f"python3 bench/run.py --workload W --seed S "
@@ -134,7 +148,7 @@ def main(argv=None) -> int:
                       f"peak_rss_mb {pair[side]['peak_rss_mb']:.2f}", file=sys.stderr)
             pairs.append(pair)
         report["workloads"][f"{workload} seed {seed}"] = {
-            "pairs": pairs, "summary": summary(pairs, metrics)}
+            "pairs": pairs, "summary": summary(pairs, metrics, bounds)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
