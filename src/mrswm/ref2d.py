@@ -290,15 +290,8 @@ def _reconstruct(ext: np.ndarray, b_bar: np.ndarray, grid: Grid2D, params: RefPa
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    """The (rows, n_zeta) leading axes of ``a`` as one run of rows * n_zeta
-    cells, the columns end to end: a view, never a copy.
-
-    A zeta stencil over the run is a shift by one along it, so numpy walks
-    whole runs where the (rows, n_zeta - 1) views of the columns would
-    walk rows of n_zeta - 1.  Where the shift pairs the top cell of a
-    column with the bottom cell of the next, a seam, the caller discards
-    or zeroes the value.
-    """
+    """The (rows, n_zeta) leading axes of ``a`` as one flat run of cells,
+    the columns end to end (module docstring): a view, never a copy."""
     return a.reshape((-1,) + a.shape[2:], copy=False)
 
 
@@ -396,8 +389,8 @@ def _rhs_rows(ext: np.ndarray, B_ext: np.ndarray, f: np.ndarray,
     L, R = rec.north[:-1], rec.south[1:]                  # (n+3, n_z, 5)
     up, dn = _flat(rec.up[real])[:-1], _flat(rec.down[real])[1:]
     # Large temporaries are dropped once spent.  Held to the return, they
-    # left the reference benchmark's peak RSS 5-6 MB higher: its stage
-    # arrays (3.2 MB each at 800 x 100) no longer fitted the holes.
+    # raised the peak RSS of 800 x 100 solves by 3-6 MB: the heap grew by
+    # whole 3.2 MB stage arrays that no longer fitted its free blocks.
     del rec
 
     # --- horizontal central-upwind fluxes ---------------------------------
